@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -273,6 +274,7 @@ class SparseSimplex {
     stats_ = SparseStats{};
     work_.assign(rows_, 0.0);
     duals_.assign(rows_, 0.0);
+    touched_.assign(rows_, 0);
   }
 
   // --- eta-file basis inverse ---------------------------------------------
@@ -327,45 +329,115 @@ class SparseSimplex {
     return d;
   }
 
-  /// Re-inverts the current basis from its columns: the eta file is
-  /// rebuilt by driving the basis columns in one by one (product-form
-  /// Gaussian elimination), choosing each pivot row by largest
-  /// magnitude among the rows not yet assigned (partial pivoting).
-  /// Columns are processed sparsest-first — the bases here are close to
-  /// triangular, so this ordering keeps the fill (and therefore every
-  /// later FTRAN/BTRAN) near the nonzero count of the basis itself.
-  /// Basic values are recomputed from scratch afterwards, which also
-  /// resets accumulated floating-point drift.
-  void refactorize() {
+  /// Empties the eta file and returns `cols` sparsest-first (ties by
+  /// index): the bases here are close to triangular, so this order
+  /// keeps the fill (and therefore every later FTRAN/BTRAN) near the
+  /// nonzero count of the basis itself.
+  std::vector<int> begin_factorization(std::vector<int> cols) {
     etas_.clear();
     eta_nnz_ = 0;
     pivots_since_refactor_ = 0;
     ++stats_.refactorizations;
-
-    std::vector<int> order(basis_);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
+    std::fill(work_.begin(), work_.end(), 0.0);
+    row_eta_.assign(rows_, -1);
+    std::sort(cols.begin(), cols.end(), [&](int a, int b) {
       const int na = col_ptr_[a + 1] - col_ptr_[a];
       const int nb = col_ptr_[b + 1] - col_ptr_[b];
       return na != nb ? na < nb : a < b;
     });
-    std::vector<char> row_done(rows_, 0);
-    for (int j : order) {
-      load_column(static_cast<std::size_t>(j), work_);
-      ftran(work_);
-      std::ptrdiff_t prow = -1;
-      double best = 0.0;
-      for (std::size_t r = 0; r < rows_; ++r) {
-        if (row_done[r]) continue;
-        const double a = std::abs(work_[r]);
-        if (a > best) {
-          best = a;
-          prow = static_cast<std::ptrdiff_t>(r);
+    return cols;
+  }
+
+  /// Drives column `j` into the factorization begun by
+  /// begin_factorization(): FTRANs it through the etas placed so far,
+  /// pivots on the largest magnitude among the rows not yet assigned
+  /// (partial pivoting) and appends the eta. Returns the pivot row, or
+  /// -1 (nothing appended) when the column depends on those placed.
+  ///
+  /// Costs O(nnz of the column + fill), not O(rows): only touched rows
+  /// are scattered, scanned and cleared, and only etas whose pivot row
+  /// is touched are applied. The eta is bit-identical to a dense
+  /// FTRAN + scan + harvest because the etas run in file order, a zero
+  /// pivot entry is skipped as in ftran(), ties go to the lowest row as
+  /// in an ascending scan, and `rest` is harvested in ascending row
+  /// order (BTRAN's summation order).
+  std::ptrdiff_t place_column(int j) {
+    constexpr auto later = std::greater<int>();
+    // An eta acts only if its pivot row is nonzero when its turn comes.
+    // A row first touched by eta k was still zero when any earlier eta
+    // on that row ran, so only an eta after k is queued.
+    auto touch = [&](int r, int after) {
+      if (touched_[r]) return;
+      touched_[r] = 1;
+      touched_rows_.push_back(r);
+      if (row_eta_[r] > after) {
+        eta_heap_.push_back(row_eta_[r]);
+        std::push_heap(eta_heap_.begin(), eta_heap_.end(), later);
+      }
+    };
+    for (int k = col_ptr_[j]; k < col_ptr_[j + 1]; ++k) {
+      touch(col_row_[k], -1);
+      work_[col_row_[k]] = col_val_[k];
+    }
+    while (!eta_heap_.empty()) {
+      std::pop_heap(eta_heap_.begin(), eta_heap_.end(), later);
+      const int k = eta_heap_.back();
+      eta_heap_.pop_back();
+      const Eta& e = etas_[k];
+      const double t = work_[e.prow];
+      if (t == 0.0) continue;
+      const double s = t / e.pivot;
+      work_[e.prow] = s;
+      for (const auto& [i, a] : e.rest) {
+        touch(i, k);
+        work_[i] -= a * s;
+      }
+    }
+
+    std::ptrdiff_t prow = -1;
+    double best = 0.0;
+    for (int r : touched_rows_) {
+      if (row_eta_[r] >= 0) continue;  // already pivoted
+      const double a = std::abs(work_[r]);
+      if (a > best || (a == best && prow >= 0 && r < prow)) {
+        best = a;
+        prow = r;
+      }
+    }
+    if (prow >= 0 && best > kDropTol) {
+      std::sort(touched_rows_.begin(), touched_rows_.end());
+      Eta e;
+      e.prow = static_cast<int>(prow);
+      e.pivot = work_[prow];
+      for (int r : touched_rows_) {
+        if (r != prow && std::abs(work_[r]) > kDropTol) {
+          e.rest.push_back({r, work_[r]});
         }
       }
-      NAT_CHECK_MSG(prow >= 0 && best > kDropTol,
+      eta_nnz_ += e.rest.size() + 1;
+      row_eta_[prow] = static_cast<int>(etas_.size());
+      etas_.push_back(std::move(e));
+    } else {
+      prow = -1;
+    }
+    for (int r : touched_rows_) {
+      work_[r] = 0.0;
+      touched_[r] = 0;
+    }
+    touched_rows_.clear();
+    return prow;
+  }
+
+  /// Re-inverts the current basis from its columns: the eta file is
+  /// rebuilt by driving the basis columns in one by one (product-form
+  /// Gaussian elimination, place_column). Basic values are recomputed
+  /// from scratch afterwards, which also resets accumulated
+  /// floating-point drift.
+  void refactorize() {
+    for (int j : begin_factorization(basis_)) {
+      const std::ptrdiff_t prow = place_column(j);
+      NAT_CHECK_MSG(prow >= 0,
                     "sparse simplex: basis singular during refactorization");
-      append_eta(work_, static_cast<std::size_t>(prow));
-      row_done[prow] = 1;
       basis_[prow] = j;
     }
     recompute_beta();
@@ -582,38 +654,14 @@ class SparseSimplex {
   /// completing the basis with each uncovered row's slack/artificial.
   /// Returns false when no nonsingular completion exists.
   bool import_factorize(const std::vector<int>& want, int* drops) {
-    etas_.clear();
-    eta_nnz_ = 0;
-    pivots_since_refactor_ = 0;
-    ++stats_.refactorizations;
+    const std::vector<int> order = begin_factorization(want);
     std::fill(basic_.begin(), basic_.end(), false);
     std::fill(basis_.begin(), basis_.end(), -1);
-    std::vector<char> row_done(rows_, 0);
-
-    std::vector<int> order(want);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const int na = col_ptr_[a + 1] - col_ptr_[a];
-      const int nb = col_ptr_[b + 1] - col_ptr_[b];
-      return na != nb ? na < nb : a < b;
-    });
 
     std::size_t assigned = 0;
     auto place = [&](int j) -> bool {
-      load_column(static_cast<std::size_t>(j), work_);
-      ftran(work_);
-      std::ptrdiff_t prow = -1;
-      double best = 0.0;
-      for (std::size_t r = 0; r < rows_; ++r) {
-        if (row_done[r]) continue;
-        const double a = std::abs(work_[r]);
-        if (a > best) {
-          best = a;
-          prow = static_cast<std::ptrdiff_t>(r);
-        }
-      }
-      if (prow < 0 || best <= kDropTol) return false;
-      append_eta(work_, static_cast<std::size_t>(prow));
-      row_done[prow] = 1;
+      const std::ptrdiff_t prow = place_column(j);
+      if (prow < 0) return false;
       basis_[prow] = j;
       basic_[j] = true;
       ++assigned;
@@ -624,7 +672,7 @@ class SparseSimplex {
       if (assigned == rows_ || !place(j)) ++*drops;
     }
     for (std::size_t r = 0; r < rows_; ++r) {
-      if (row_done[r]) continue;
+      if (row_eta_[r] >= 0) continue;
       // The row's own logical column usually pivots at row r, but the
       // etas accumulated so far can move or cancel it; try the slack,
       // then the artificial, and give up (cold fallback) if neither
@@ -942,8 +990,13 @@ class SparseSimplex {
   std::vector<bool> at_upper_;
   std::vector<double> beta_;
 
-  // Scratch.
+  // Scratch. Within a factorization, between place_column calls, work_
+  // and touched_ are all zero and touched_rows_/eta_heap_ are empty;
+  // row_eta_ maps a row to the eta that pivoted on it in the current
+  // factorization (-1: not yet assigned).
   std::vector<double> work_, duals_;
+  std::vector<char> touched_;
+  std::vector<int> touched_rows_, eta_heap_, row_eta_;
 
   double tol_ = 1e-9, feas_tol_ = 1e-7;
   std::int64_t iterations_ = 0, max_iterations_ = 0, bland_after_ = 0;

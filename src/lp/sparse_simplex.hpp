@@ -12,7 +12,16 @@
 // from the basis columns with partial pivoting), so one iteration costs
 //   BTRAN + pricing       O(nnz(eta file) + nnz(A))
 //   FTRAN + ratio test    O(nnz(eta file) + rows)
-// instead of the dense backends' O(rows · cols) elimination.
+// instead of the dense backends' O(rows · cols) elimination, plus one
+//   re-inversion          O(nnz(B) + fill)
+// per refactorization (formerly Θ(rows²)). Re-inversion is hypersparse:
+// each basis column is scattered into a zeroed work vector and only the
+// etas whose pivot row it touches are applied. The eta file stays
+// bit-identical to a dense FTRAN + scan because the etas run in file
+// order, an eta with an exactly-zero pivot entry is skipped, pivot ties
+// go to the lowest row, and each eta stores its entries in ascending
+// row order (BTRAN's summation order) — so pivots and vertices do not
+// depend on how the factorization is computed (docs/PERFORMANCE.md).
 //
 // Shares the bounded-variable machinery with lp/bounded_simplex.*:
 // nonbasic variables sit at either bound, the ratio test can end in a

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "activetime/lp_relaxation.hpp"
 #include "activetime/solver.hpp"
@@ -177,6 +180,150 @@ TEST(SparseSimplex, RefactorizationKeepsLongSolvesAccurate) {
   EXPECT_NEAR(sparse.objective, exact.objective.to_double(),
               1e-9 * (1.0 + std::abs(sparse.objective)));
   EXPECT_LE(m.max_violation(sparse.x), 1e-7);
+}
+
+// --- warm import: the drop path -----------------------------------------
+
+/// Solves `m` cold, then warm from `hint`; the warm call must not count
+/// as a warm hit (the import dropped columns) and must reach the cold
+/// optimum.
+void expect_warm_drop_reaches_cold(const Model& m, const Basis& hint) {
+  Solution cold = solve_sparse(m);
+  ASSERT_EQ(cold.status, Status::kOptimal);
+  WarmOptions warm;
+  warm.warm = &hint;
+  SparseStats stats;
+  Solution s = solve_sparse_warm(m, {}, warm, &stats);
+  ASSERT_EQ(s.status, Status::kOptimal);
+  EXPECT_EQ(stats.warm_hit, 0);
+  EXPECT_EQ(stats.warm_repair + stats.cold_fallback, 1);
+  EXPECT_NEAR(s.objective, cold.objective,
+              1e-9 * (1.0 + std::abs(cold.objective)));
+  EXPECT_LE(m.max_violation(s.x), 1e-7);
+}
+
+TEST(SparseSimplexWarm, RankDeficientHintDropsAColumn) {
+  // x and y have parallel columns (y = 2x in every row), so at most one
+  // of them can be basic; the import must drop the other.
+  Model m;
+  int x = m.add_variable("x", 0.0, 10.0, -1.0);
+  int y = m.add_variable("y", 0.0, 10.0, -1.0);
+  int z = m.add_variable("z", 0.0, 10.0, -2.0);
+  m.add_row(Sense::kLe, 8.0, {{x, 1.0}, {y, 2.0}, {z, 1.0}});
+  m.add_row(Sense::kLe, 6.0, {{x, 2.0}, {y, 4.0}, {z, -1.0}});
+  Basis hint;
+  hint.variables = {VarStatus::kBasic, VarStatus::kBasic, VarStatus::kAtLower};
+  expect_warm_drop_reaches_cold(m, hint);
+}
+
+TEST(SparseSimplexWarm, MoreBasicThanRowsDropsTheSurplus) {
+  // Three basic hints for two rows: the last column to be placed finds
+  // every row assigned.
+  Model m;
+  int x = m.add_variable("x", 0.0, 5.0, -1.0);
+  int y = m.add_variable("y", 0.0, 5.0, -3.0);
+  int z = m.add_variable("z", 0.0, 5.0, 1.0);
+  m.add_row(Sense::kLe, 6.0, {{x, 1.0}, {y, 1.0}});
+  m.add_row(Sense::kGe, 1.0, {{y, 1.0}, {z, 1.0}});
+  Basis hint;
+  hint.variables.assign(3, VarStatus::kBasic);
+  expect_warm_drop_reaches_cold(m, hint);
+}
+
+// --- bit-identity golden: strong LPs of the large batch families ---------
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// FNV-1a over the bit patterns of `x`.
+std::uint64_t hash_bits(const std::vector<double>& x) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (double v : x) {
+    std::uint64_t b = bits_of(v);
+    for (int k = 0; k < 8; ++k) {
+      h = (h ^ (b & 0xff)) * 0x100000001b3ull;
+      b >>= 8;
+    }
+  }
+  return h;
+}
+
+/// Random laminar trees (or contended blocks) laid side by side, one
+/// slot apart, until `target` jobs — the shape of the large batch cells.
+at::Instance side_by_side_forest(bool contended, int target,
+                                 std::uint64_t seed) {
+  util::Rng rng(seed);
+  at::Instance out;
+  out.g = contended ? 6 : 3;
+  at::Time offset = 0;
+  while (out.num_jobs() < target) {
+    at::Instance part;
+    if (contended) {
+      at::gen::ContendedParams p;
+      p.g = out.g;
+      p.min_groups = 1;
+      p.max_groups = 8;
+      p.unit_slack = rng.uniform_int(0, 2);
+      p.max_long_jobs = static_cast<int>(rng.uniform_int(1, 3));
+      part = at::gen::random_contended(p, rng);
+    } else {
+      at::gen::RandomLaminarParams p;
+      p.g = out.g;
+      p.max_depth = 4;
+      p.max_children = 3;
+      p.max_jobs_per_node = 4;
+      p.max_processing = 4;
+      part = at::gen::random_laminar(p, rng);
+    }
+    const at::Interval h = part.horizon();
+    for (at::Job j : part.jobs) {
+      j.release += offset - h.lo;
+      j.deadline += offset - h.lo;
+      out.jobs.push_back(j);
+    }
+    offset += h.length() + 1;
+  }
+  return out;
+}
+
+struct GoldenLp {
+  const char* name;
+  at::Instance instance;
+  std::int64_t pivots, bound_flips, refactorizations, eta_nonzeros;
+  std::uint64_t objective_bits, x_hash;
+};
+
+TEST(SparseSimplexGolden, PivotsAndVerticesAreBitIdentical) {
+  // Recorded before the touched-row refactorization landed: any change
+  // to the eta file (pivot rows, fill, summation order) shows up here as
+  // a different pivot count, eta size, or vertex bit pattern.
+  const GoldenLp cases[] = {
+      {"staircase", at::gen::staircase(4, 60, 5), 244, 2, 2, 7598,
+       0x4052c00000000000ull, 0xb4114b5ef5a738adull},
+      {"binary_nest", at::gen::binary_nest(4, 4), 380, 19, 6, 4279,
+       0x4042200000000000ull, 0x65056f195ccfafb5ull},
+      {"laminar_forest", side_by_side_forest(false, 150, 12), 440, 37, 4,
+       2540, 0x40619aaaaaaaaaaaull, 0xf656d2f26c725613ull},
+      {"contended_forest", side_by_side_forest(true, 200, 13), 357, 103, 3,
+       2062, 0x404bd55555555555ull, 0x3e79ad7ba7731454ull},
+  };
+  for (const GoldenLp& c : cases) {
+    SCOPED_TRACE(c.name);
+    at::LaminarForest f = at::LaminarForest::build(c.instance);
+    f.canonicalize();
+    const at::StrongLp lp = at::build_strong_lp(f);
+    SparseStats stats;
+    const Solution s = solve_sparse(lp.model, {}, &stats);
+    ASSERT_EQ(s.status, Status::kOptimal);
+    EXPECT_GE(stats.refactorizations, 2) << "golden LP too small";
+    EXPECT_EQ(stats.pivots, c.pivots);
+    EXPECT_EQ(stats.bound_flips, c.bound_flips);
+    EXPECT_EQ(stats.refactorizations, c.refactorizations);
+    EXPECT_EQ(stats.eta_nonzeros, c.eta_nonzeros);
+    EXPECT_EQ(bits_of(s.objective), c.objective_bits)
+        << std::hex << "objective bits 0x" << bits_of(s.objective);
+    EXPECT_EQ(hash_bits(s.x), c.x_hash)
+        << std::hex << "x hash 0x" << hash_bits(s.x);
+  }
 }
 
 // --- differential sweep vs dense/bounded/exact on random LPs -------------
