@@ -1,14 +1,14 @@
-// bench_lp — the LP backends head to head on the repository's real
-// LP families.
+// bench_lp — the sparse revised simplex against the dense tableau on
+// the repository's real LP families.
 //
 // For each cell, the same set of models is solved with the dense
-// two-phase tableau (lp::solve), the dense bounded-variable tableau
-// (lp::solve_bounded), and the sparse revised simplex
-// (lp::solve_sparse, the default backend). Objectives are asserted to
-// agree within 1e-9 relative per model; per-backend wall-clock plus the
-// sparse backend's deterministic pivot / bound-flip / refactorization
-// totals are recorded to BENCH_lp.json (--out) for the CI perf gate
-// (tools/perf_gate.py, docs/PERFORMANCE.md).
+// two-phase tableau (lp::solve, the check oracle) and the sparse
+// revised simplex (lp::solve_sparse, the backend every LP hot path
+// uses). Objectives are asserted to agree within 1e-9 relative per
+// model; per-backend wall-clock plus the sparse backend's deterministic
+// pivot / bound-flip / refactorization totals are recorded to
+// BENCH_lp.json (--out) for the CI perf gate (tools/perf_gate.py,
+// docs/PERFORMANCE.md).
 //
 // Model families:
 //  * strong LPs of contended instances — fractional, ceiling-heavy,
@@ -27,7 +27,6 @@
 #include "activetime/tree.hpp"
 #include "bench/common.hpp"
 #include "io/table.hpp"
-#include "lp/bounded_simplex.hpp"
 #include "lp/sparse_simplex.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
@@ -120,13 +119,13 @@ int main(int argc, char** argv) {
   doc["schema"] = "nat-bench-lp-v1";
   doc["smoke"] = smoke;
 
-  std::cout << "# bench_lp — dense vs bounded vs sparse revised simplex\n\n"
-            << "Same models through all three floating-point backends;"
+  std::cout << "# bench_lp — dense tableau vs sparse revised simplex\n\n"
+            << "Same models through both floating-point solvers;"
                " objectives asserted\nidentical to "
             << kAgreeTol << " relative. Pivot counts are deterministic.\n\n";
 
-  io::Table table({"cell", "models", "rows", "cols", "dense s", "bounded s",
-                   "sparse s", "speedup", "pivots", "refactor"});
+  io::Table table({"cell", "models", "rows", "cols", "dense s", "sparse s",
+                   "speedup", "pivots", "refactor"});
   obs::Json cells_json = obs::Json::array();
 
   for (Cell& cell : build_cells(smoke)) {
@@ -140,10 +139,6 @@ int main(int argc, char** argv) {
     util::Stopwatch dense_watch;
     for (const lp::Model& m : cell.models) dense_sols.push_back(lp::solve(m));
     const double dense_s = dense_watch.seconds();
-
-    util::Stopwatch bounded_watch;
-    for (const lp::Model& m : cell.models) lp::solve_bounded(m);
-    const double bounded_s = bounded_watch.seconds();
 
     lp::SparseStats stats;  // cell totals (solve_sparse reports per solve)
     std::int64_t dense_iterations = 0;
@@ -173,8 +168,8 @@ int main(int argc, char** argv) {
     table.add_row(
         {cell.name, io::Table::num(std::int64_t(cell.models.size())),
          io::Table::num(rows), io::Table::num(cols),
-         io::Table::num(dense_s, 4), io::Table::num(bounded_s, 4),
-         io::Table::num(sparse_s, 4), io::Table::num(speedup, 2),
+         io::Table::num(dense_s, 4), io::Table::num(sparse_s, 4),
+         io::Table::num(speedup, 2),
          io::Table::num(stats.pivots), io::Table::num(stats.refactorizations)});
 
     obs::Json j = obs::Json::object();
@@ -183,7 +178,6 @@ int main(int argc, char** argv) {
     j["rows"] = rows;
     j["cols"] = cols;
     j["dense_seconds"] = dense_s;
-    j["bounded_seconds"] = bounded_s;
     j["sparse_seconds"] = sparse_s;
     j["speedup_vs_dense"] = speedup;
     j["dense_iterations"] = dense_iterations;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "activetime/feasibility.hpp"
+#include "activetime/time_indexed_lp.hpp"
 #include "flow/dinic.hpp"
 #include "lp/backend.hpp"
 #include "obs/counters.hpp"
@@ -220,7 +221,7 @@ GeneralSolveResult solve_general(const Instance& instance,
 
   TimeIndexedLp lp = [&] {
     obs::Span span("solve_general/lp_build");
-    return build_time_indexed_lp(instance, options.intervals);
+    return build_time_indexed_lp(instance);
   }();
   NAT_CHECK(static_cast<int>(lp.slots.size()) == T);
   lp::Solution lps = [&] {
@@ -262,13 +263,16 @@ GeneralSolveResult solve_general(const Instance& instance,
                                    int* repairs) {
       oracle.apply(open);
       *repairs = repair_open_slots(oracle, by_x_desc, options.cancel);
-      if (options.trim) trim_open_slots(oracle, by_x_asc, options.cancel);
+      // Trimming only removes slots, so feasibility and the budget hold;
+      // unlike Algorithm 1, this rounding has no per-slot charging
+      // argument that a trim could invalidate.
+      trim_open_slots(oracle, by_x_asc, options.cancel);
       return oracle.open_count();
     };
     // ALG <= 2·LP, with double-path slack mirroring the rational
     // certificate (verify::check_general_budget).
     const auto within_budget = [&](std::int64_t count) {
-      const double slack = options.verify_radius * (T + 2) *
+      const double slack = verify::kDefaultRadius * (T + 2) *
                            std::max(1.0, std::abs(result.lp_value));
       return static_cast<double>(count) <= 2.0 * result.lp_value + slack;
     };
@@ -366,8 +370,7 @@ GeneralSolveResult solve_general(const Instance& instance,
     obs::Span span("solve_general/verify_budget");
     verify::require("general_budget",
                     verify::check_general_budget(result.active_slots,
-                                                 result.lp_value, T,
-                                                 options.verify_radius));
+                                                 result.lp_value, T));
   }
   return result;
 }

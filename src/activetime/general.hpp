@@ -33,7 +33,6 @@
 
 #include "activetime/instance.hpp"
 #include "activetime/schedule.hpp"
-#include "activetime/time_indexed_lp.hpp"
 #include "util/cancel.hpp"
 #include "verify/verify.hpp"
 
@@ -49,19 +48,8 @@ enum class GeneralRounding {
 const char* to_string(GeneralRounding rounding);
 
 struct GeneralSolverOptions {
-  // Interval family for the LP's ceiling rows. The natural LP (kNone)
-  // is the relaxation the 2·LP budget is stated against; adding rows
-  // only raises the LP value, so the budget stays valid (and gets
-  // easier) with kEventAligned.
-  CeilingIntervals intervals = CeilingIntervals::kNone;
   // Exact-arithmetic self-check level (see verify/verify.hpp).
   verify::VerifyLevel verify_level = verify::VerifyLevel::kDefault;
-  double verify_radius = verify::kDefaultRadius;
-  // Close rounded slots while the oracle stays feasible. Only ever
-  // removes slots, so feasibility and the budget are preserved; on by
-  // default because the general rounding (unlike Algorithm 1) has no
-  // per-slot charging argument that trimming would invalidate.
-  bool trim = true;
   // Cooperative cancellation (util/cancel.hpp): polled at every simplex
   // pivot, oracle flow query, repair step, and trim step.
   const util::CancelToken* cancel = nullptr;

@@ -22,6 +22,17 @@ void Instance::validate() const {
     const Job& job = jobs[j];
     NAT_CHECK_MSG(job.processing >= 1,
                   "job " << j << ": processing must be >= 1");
+    // Payloads may sit near the int64 extremes: the window length and
+    // release + max(p, p_hi) must fit, or the checks below (and every
+    // Interval::length() downstream) would overflow.
+    const std::int64_t longest = std::max(job.processing, job.processing_hi);
+    Time length = 0;
+    Time end = 0;
+    NAT_CHECK_MSG(
+        !__builtin_sub_overflow(job.deadline, job.release, &length) &&
+            !__builtin_add_overflow(job.release, longest, &end),
+        "job " << j << ": window " << job.window() << " with processing "
+               << longest << " overflows int64");
     NAT_CHECK_MSG(job.deadline >= job.release + job.processing,
                   "job " << j << ": window " << job.window()
                          << " shorter than processing " << job.processing);

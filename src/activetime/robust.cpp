@@ -124,7 +124,7 @@ RobustSolveResult solve_robust(const Instance& instance,
     verify::require("robust_sandwich",
                     verify::check_robust_sandwich(
                         result.robust_lo, result.nominal.active_slots,
-                        result.robust_hi, lp_terms, options.verify_radius));
+                        result.robust_hi, lp_terms));
   }
   return result;
 }

@@ -41,7 +41,6 @@ struct RobustSolverOptions {
   ActiveTimeOptions base;
   // Exact-arithmetic certificate level for the sandwich.
   verify::VerifyLevel verify_level = verify::VerifyLevel::kDefault;
-  double verify_radius = verify::kDefaultRadius;
   // Convenience: when set, overrides the cancel token of every phase.
   const util::CancelToken* cancel = nullptr;
 };

@@ -121,8 +121,8 @@ std::vector<std::vector<int>> window_groups(const Instance& instance) {
   return groups;
 }
 
-SolverSession::SolverSession(Instance initial, SessionOptions options)
-    : instance_(std::move(initial)), options_(options) {
+SolverSession::SolverSession(Instance initial)
+    : instance_(std::move(initial)) {
   instance_.validate();
 }
 
@@ -263,9 +263,9 @@ void SolverSession::resolve() {
     next.emplace(plan[gi].key, std::move(entry));
   }
   res.active_slots = res.schedule.active_slots();
-  if (options_.validate_schedules && !instance_.jobs.empty()) {
-    validate_schedule(instance_, res.schedule);
-  }
+  // Sessions are long-lived state: every assembled schedule is
+  // validated against the current instance (cheap next to the solve).
+  if (!instance_.jobs.empty()) validate_schedule(instance_, res.schedule);
   cache_ = std::move(next);
   result_ = std::move(res);
   solved_ = true;
@@ -292,7 +292,7 @@ SolverSession::GroupSolve SolverSession::solve_group(
     // correctness one, and the content cache still dedupes repeats.
     ++stats_.oracle_builds;
     GeneralSolverOptions general;
-    general.cancel = options_.cancel;
+    general.cancel = cancel_;
     const GeneralSolveResult res = solve_general(sub, general);
     out.backend = res.lp_failed ? Backend::kGreedy : Backend::kGeneral;
     out.lp_value = res.lp_value;
@@ -306,7 +306,7 @@ SolverSession::GroupSolve SolverSession::solve_group(
   forest.canonicalize();
 
   FeasibilityOracle oracle(forest);
-  oracle.set_cancel(options_.cancel);
+  oracle.set_cancel(cancel_);
   ++stats_.oracle_builds;
   std::vector<Time> full(static_cast<std::size_t>(forest.num_nodes()));
   for (int i = 0; i < forest.num_nodes(); ++i) {
@@ -314,11 +314,11 @@ SolverSession::GroupSolve SolverSession::solve_group(
   }
   NAT_CHECK_MSG(oracle.feasible(full), "instance is infeasible");
 
-  StrongLp lp = build_strong_lp(forest, options_.lp);
+  StrongLp lp = build_strong_lp(forest);
   out.var_keys = variable_keys(forest, lp);
 
   lp::SolveOptions lp_options;
-  lp_options.cancel = options_.cancel;
+  lp_options.cancel = cancel_;
   lp::WarmOptions warm;
   warm.canonical = true;
   warm.export_basis = &out.basis;

@@ -73,15 +73,6 @@ struct Retime {
 using Delta =
     std::variant<AddJob, RemoveJob, ExtendWindow, ShrinkWindow, Retime>;
 
-struct SessionOptions {
-  StrongLpOptions lp;
-  // Validate every assembled schedule against the current instance
-  // (cheap; on by default because sessions are long-lived state).
-  bool validate_schedules = true;
-  // Polled at simplex pivots and oracle queries of every group solve.
-  const util::CancelToken* cancel = nullptr;
-};
-
 /// Cumulative session statistics (reset never; diff across calls).
 struct SessionStats {
   std::int64_t solves = 0;          // solve()/apply() calls that resolved
@@ -108,7 +99,7 @@ struct SessionResult {
 
 class SolverSession {
  public:
-  explicit SolverSession(Instance initial, SessionOptions options = {});
+  explicit SolverSession(Instance initial);
 
   /// Result for the current instance; solves lazily, then caches.
   const SessionResult& solve();
@@ -120,13 +111,12 @@ class SolverSession {
   /// general 2-approx backend.
   const SessionResult& apply(const Delta& delta);
 
-  /// Re-points the cancel token polled by subsequent solve()/apply()
-  /// calls (nullptr = none). Long-lived daemon sessions overlay one
-  /// per-request token this way; a cancellation mid-apply rolls the
-  /// session back like any other failure.
-  void set_cancel(const util::CancelToken* cancel) {
-    options_.cancel = cancel;
-  }
+  /// Re-points the cancel token polled at the simplex pivots and oracle
+  /// queries of subsequent solve()/apply() calls (nullptr = none).
+  /// Long-lived daemon sessions overlay one per-request token this way;
+  /// a cancellation mid-apply rolls the session back like any other
+  /// failure.
+  void set_cancel(const util::CancelToken* cancel) { cancel_ = cancel; }
 
   const Instance& instance() const { return instance_; }
   const SessionStats& stats() const { return stats_; }
@@ -154,7 +144,7 @@ class SolverSession {
                          const GroupSolve* hint);
 
   Instance instance_;
-  SessionOptions options_;
+  const util::CancelToken* cancel_ = nullptr;
   SessionStats stats_;
   SessionResult result_;
   bool solved_ = false;

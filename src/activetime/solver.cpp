@@ -7,7 +7,6 @@
 #include "activetime/oracle.hpp"
 #include "activetime/rounding.hpp"
 #include "lp/backend.hpp"
-#include "lp/bounded_simplex.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -87,8 +86,7 @@ NestedSolveResult solve_nested(const Instance& instance,
     obs::Span span("solve_nested/lp_solve");
     lp::SolveOptions lp_options;
     lp_options.cancel = options.cancel;
-    return options.bounded_lp_backend ? lp::solve_bounded(lp.model, lp_options)
-                                      : lp::solve_auto(lp.model, lp_options);
+    return lp::solve_auto(lp.model, lp_options);
   }();
   NAT_CHECK_MSG(lps.status == lp::Status::kOptimal,
                 "strong LP did not solve: " << lp::to_string(lps.status));
@@ -103,8 +101,7 @@ NestedSolveResult solve_nested(const Instance& instance,
     obs::Span span("solve_nested/verify_lp");
     verify::require("lp",
                     verify::check_lp_solution(forest, lp, frac,
-                                              result.lp_value,
-                                              options.verify_radius));
+                                              result.lp_value));
   }
 
   if (options.naive_rounding) {
@@ -124,14 +121,12 @@ NestedSolveResult solve_nested(const Instance& instance,
     if (vlevel == verify::VerifyLevel::kFull) {
       obs::Span span("solve_nested/verify_push_down");
       verify::require("push_down",
-                      verify::check_push_down(forest, x_before, frac.x,
-                                              options.verify_radius));
+                      verify::check_push_down(forest, x_before, frac.x));
       // The transform must keep the solution LP-feasible (Lemma 3.1
       // moves volume alongside the opened mass).
       verify::require("lp_transformed",
                       verify::check_lp_solution(forest, lp, frac,
-                                                result.lp_value,
-                                                options.verify_radius));
+                                                result.lp_value));
     }
     result.x_fractional = frac.x;
     result.topmost = topmost_positive(forest, frac.x);
@@ -146,8 +141,7 @@ NestedSolveResult solve_nested(const Instance& instance,
       verify::require("rounding",
                       verify::check_rounding(forest, frac.x,
                                              result.x_rounded,
-                                             result.topmost,
-                                             options.verify_radius));
+                                             result.topmost));
     }
   }
 

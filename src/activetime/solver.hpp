@@ -22,8 +22,6 @@ struct NestedSolverOptions {
   // kDefault resolves via NAT_VERIFY, else full in Debug builds and off
   // in Release — the Release hot path pays nothing.
   verify::VerifyLevel verify_level = verify::VerifyLevel::kDefault;
-  // Declared double-path rounding radius for the validators.
-  double verify_radius = verify::kDefaultRadius;
   // Ablation: skip the Lemma 3.1 transform and Algorithm 1, rounding
   // every region up instead (valid but without the 9/5 guarantee).
   bool naive_rounding = false;
@@ -32,10 +30,6 @@ struct NestedSolverOptions {
   // removes slots, so the 9/5 guarantee is preserved; off by default so
   // the default pipeline is the paper's algorithm verbatim.
   bool trim_rounded = false;
-  // LP backend: the bounded-variable simplex handles x(i) <= L(i)
-  // bounds natively (no bound rows) and is usually faster on large
-  // instances; both backends produce the same optimum.
-  bool bounded_lp_backend = false;
   // Cooperative cancellation/deadline (util/cancel.hpp): polled at
   // every simplex pivot, oracle query, repair step, and trim step, so
   // a fired token aborts the solve with CancelledError at the next

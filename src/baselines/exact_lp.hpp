@@ -5,7 +5,7 @@
 // the *strengthened LP (1)* as the bound — far tighter than the
 // volume/longest-job bounds of the DFS — branching on a fractional
 // x(i) into x(i) <= ⌊v⌋ and x(i) >= ⌈v⌉ (pure bound changes, handled
-// natively by the bounded-variable backend).
+// natively by the sparse backend's bounded variables).
 //
 // Correctness of the leaves: if the LP is feasible with every x(i)
 // integral, the fractional y can be rerouted integrally (the y-part of

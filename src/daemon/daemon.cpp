@@ -67,8 +67,6 @@ struct Daemon::Request {
 };
 
 struct Daemon::TenantState {
-  explicit TenantState(const at::SessionOptions& options)
-      : sessions(options) {}
   std::mutex mu;  // serializes ops when max_in_flight > 1 / FIFO mode
   service::SessionManager sessions;
 };
@@ -401,7 +399,7 @@ Daemon::Executed Daemon::execute(Request& request) {
 Daemon::TenantState& Daemon::tenant_state(const std::string& tenant) {
   std::lock_guard<std::mutex> lk(mu_);
   std::unique_ptr<TenantState>& slot = tenant_state_[tenant];
-  if (!slot) slot = std::make_unique<TenantState>(options_.session);
+  if (!slot) slot = std::make_unique<TenantState>();
   return *slot;
 }
 

@@ -83,8 +83,6 @@ struct DaemonOptions {
   // Solver knobs for "solve" requests (timeout_ms is ignored: daemon
   // deadlines ride the per-request token instead).
   service::BatchOptions batch;
-  // Engine knobs for session ops.
-  at::SessionOptions session;
   // Start with dispatch paused so tests and load generators can
   // preload queues deterministically, then resume().
   bool start_paused = false;

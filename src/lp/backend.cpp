@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "lp/bounded_simplex.hpp"
 #include "lp/sparse_simplex.hpp"
 #include "obs/counters.hpp"
 #include "util/check.hpp"
@@ -14,20 +13,15 @@ namespace nat::lp {
 BackendKind parse_backend(const char* name) {
   if (name == nullptr || *name == '\0') return BackendKind::kSparse;
   if (std::strcmp(name, "sparse") == 0) return BackendKind::kSparse;
-  if (std::strcmp(name, "dense") == 0) return BackendKind::kDense;
-  if (std::strcmp(name, "bounded") == 0) return BackendKind::kBounded;
   if (std::strcmp(name, "check") == 0) return BackendKind::kCheck;
   NAT_CHECK_MSG(false, "NAT_LP_BACKEND: unknown backend '"
-                           << name
-                           << "' (expected sparse|dense|bounded|check)");
+                           << name << "' (expected sparse|check)");
   return BackendKind::kSparse;
 }
 
 const char* backend_name(BackendKind kind) {
   switch (kind) {
     case BackendKind::kSparse: return "sparse";
-    case BackendKind::kDense: return "dense";
-    case BackendKind::kBounded: return "bounded";
     case BackendKind::kCheck: return "check";
   }
   return "?";
@@ -43,10 +37,6 @@ Solution solve_with(BackendKind kind, const Model& model,
   switch (kind) {
     case BackendKind::kSparse:
       return solve_sparse(model, options);
-    case BackendKind::kDense:
-      return solve(model, options);
-    case BackendKind::kBounded:
-      return solve_bounded(model, options);
     case BackendKind::kCheck: {
       Solution sparse = solve_sparse(model, options);
       Solution dense = solve(model, options);

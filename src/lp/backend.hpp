@@ -5,12 +5,11 @@
 // through solve_auto() so one environment switch picks the backend:
 //
 //   NAT_LP_BACKEND=sparse   sparse revised simplex (the default)
-//   NAT_LP_BACKEND=dense    dense two-phase tableau (lp/dense_simplex)
-//   NAT_LP_BACKEND=bounded  dense bounded-variable tableau
 //   NAT_LP_BACKEND=check    sparse, differentially checked against the
-//                           dense backend on every solve (status must
-//                           match; objectives within kCheckRelTol) —
-//                           the dense backend stays the oracle
+//                           dense two-phase tableau (lp::solve) on every
+//                           solve (status must match; objectives within
+//                           kCheckRelTol) — the dense tableau is the
+//                           oracle
 //
 // The variable is read once per process (first solve_auto call).
 #pragma once
@@ -20,7 +19,7 @@
 
 namespace nat::lp {
 
-enum class BackendKind { kSparse, kDense, kBounded, kCheck };
+enum class BackendKind { kSparse, kCheck };
 
 /// Relative objective tolerance of the `check` backend's differential
 /// comparison (scaled by 1 + |objective|).

@@ -1,5 +1,7 @@
-// Floating-point LP solver front-end (see lp/simplex.hpp for the
-// algorithm). This is the backend every experiment uses.
+// Dense two-phase tableau simplex in double (see lp/simplex.hpp for the
+// algorithm): the oracle that NAT_LP_BACKEND=check and the tests compare
+// the sparse backend against. Also home of the shared Solution and
+// SolveOptions types.
 #pragma once
 
 #include <cstdint>

@@ -112,10 +112,9 @@ class SparseSimplex {
   };
 
   // --- standardization -----------------------------------------------------
-  // Identical semantics to lp/bounded_simplex.cpp (shift lower bounds,
-  // split free variables, normalize rhs >= 0, slack for inequalities,
-  // artificial where no +1 slack can start the basis), but the matrix
-  // lands in CSC instead of a dense tableau.
+  // Shift lower bounds, split free variables, normalize rhs >= 0, add a
+  // slack for each inequality and an artificial where no +1 slack can
+  // start the basis; the matrix lands in CSC.
   void build(const Model& model) {
     varmap_.assign(model.num_variables(), VarMap{});
     std::vector<double> ub;
@@ -463,11 +462,11 @@ class SparseSimplex {
   enum class PivotOutcome { kPivoted, kFlipped, kUnbounded, kRetry };
 
   /// Bounded ratio test plus basis update for entering column `j`
-  /// (same rules and tie-breaks as the bounded dense backend): moving
-  /// the entering variable by t, basic values move along
-  /// -t * sign * w. Shared by the primal phases and the
-  /// canonicalization pass. kRetry means the eta file was stale and a
-  /// refactorization ran; the caller re-prices from fresh duals.
+  /// (Dantzig's upper-bounding rules): moving the entering variable by
+  /// t, basic values move along -t * sign * w. Shared by the primal
+  /// phases and the canonicalization pass. kRetry means the eta file
+  /// was stale and a refactorization ran; the caller re-prices from
+  /// fresh duals.
   PivotOutcome pivot_step(std::size_t j, bool decreasing) {
     load_column(j, work_);
     ftran(work_);

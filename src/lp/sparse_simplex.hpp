@@ -1,18 +1,19 @@
 // Sparse revised simplex (bounded variables, product-form inverse).
 //
-// The third floating-point backend, and the default for every LP hot
-// path in this repository (see lp/backend.hpp for the NAT_LP_BACKEND
-// switch). The LP (1) constraint matrix is tree-structured and
-// extremely sparse — coverage, capacity, per-job-cap, and ceiling rows
-// each touch a handful of the columns — so the dense tableau backends
-// pay O(rows · cols) per pivot for arithmetic that is almost entirely
-// zeros. This backend stores the standardized matrix in CSC form and
-// keeps the basis inverse as an eta file (product-form updates in the
-// Bartels–Golub tradition: one eta per pivot, periodic refactorization
-// from the basis columns with partial pivoting), so one iteration costs
+// The floating-point backend of every LP hot path in this repository
+// (see lp/backend.hpp for the NAT_LP_BACKEND switch). The LP (1)
+// constraint matrix is tree-structured and extremely sparse — coverage,
+// capacity, per-job-cap, and ceiling rows each touch a handful of the
+// columns — so the dense tableau (lp/dense_simplex.*, kept as the
+// oracle) pays O(rows · cols) per pivot for arithmetic that is almost
+// entirely zeros. This backend stores the standardized matrix in CSC
+// form and keeps the basis inverse as an eta file (product-form updates
+// in the Bartels–Golub tradition: one eta per pivot, periodic
+// refactorization from the basis columns with partial pivoting), so one
+// iteration costs
 //   BTRAN + pricing       O(nnz(eta file) + nnz(A))
 //   FTRAN + ratio test    O(nnz(eta file) + rows)
-// instead of the dense backends' O(rows · cols) elimination, plus one
+// instead of the dense tableau's O(rows · cols) elimination, plus one
 //   re-inversion          O(nnz(B) + fill)
 // per refactorization (formerly Θ(rows²)). Re-inversion is hypersparse:
 // each basis column is scattered into a zeroed work vector and only the
@@ -23,13 +24,13 @@
 // row order (BTRAN's summation order) — so pivots and vertices do not
 // depend on how the factorization is computed (docs/PERFORMANCE.md).
 //
-// Shares the bounded-variable machinery with lp/bounded_simplex.*:
-// nonbasic variables sit at either bound, the ratio test can end in a
-// bound flip without a pivot, and no `x <= u` rows are materialized.
-// Pricing is Dantzig with a permanent Bland fallback after a stall
-// threshold (finite termination on degenerate/cycling-prone LPs).
-// Differentially tested against the dense and bounded backends on the
-// LP corpus and random sweeps (tests/test_sparse_simplex.cpp).
+// Bounded variables (Dantzig's upper-bounding technique): nonbasic
+// variables sit at either bound, the ratio test can end in a bound flip
+// without a pivot, and no `x <= u` rows are materialized. Pricing is
+// Dantzig with a permanent Bland fallback after a stall threshold
+// (finite termination on degenerate/cycling-prone LPs). Differentially
+// tested against the dense tableau and the exact rational simplex on
+// the LP corpus and random sweeps (tests/test_sparse_simplex.cpp).
 //
 // Warm starts (docs/INCREMENTAL.md): solve_sparse_warm accepts a Basis
 // exported from a previous solve of a *similar* model, factorizes it
@@ -93,8 +94,7 @@ struct WarmOptions {
 };
 
 /// Solves `model` (minimization) with the sparse revised simplex.
-/// Status/objective agree with lp::solve and lp::solve_bounded up to
-/// tolerances.
+/// Status/objective agree with lp::solve up to tolerances.
 Solution solve_sparse(const Model& model, const SolveOptions& options = {},
                       SparseStats* stats = nullptr);
 

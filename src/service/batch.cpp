@@ -216,8 +216,8 @@ CellResult solve_cell(const BatchItem& item, int index,
       r.backend = "greedy";
       r.active_slots = res.active_slots;
     } else if (solver == "exact") {
+      // ExactOptions' default node budget (20M) bounds the search.
       at::baselines::ExactOptions exact;
-      exact.node_budget = options.exact_node_budget;
       exact.cancel = cancel;
       const auto res = at::baselines::exact_opt_laminar(instance, exact);
       if (!res.has_value()) {

@@ -98,8 +98,6 @@ struct BatchOptions {
   at::NestedSolverOptions nested;
   // Base options for the general 2-approx solver (same overlay).
   at::GeneralSolverOptions general;
-  // Node budget for the exact solver.
-  std::int64_t exact_node_budget = 20'000'000;
   // Robust interval-time mode (docs/ROBUST.md): every cell routes
   // through at::solve_robust, records gain robust_lo / robust_hi, and
   // a worst-case-infeasible box fails its cell with the usual

@@ -109,9 +109,6 @@ std::string session_op_to_json(const SessionOpResult& r) {
   return session_op_record(r).dump();
 }
 
-SessionManager::SessionManager(at::SessionOptions options)
-    : options_(options) {}
-
 SessionManager::~SessionManager() = default;
 
 SessionOpResult SessionManager::process_line(const std::string& line,
@@ -171,12 +168,10 @@ SessionOpResult SessionManager::process_line(const std::string& line,
       } catch (const std::exception& e) {
         return fail("input:validate", e.what());
       }
-      at::SessionOptions op_options = options_;
-      op_options.cancel = cancel;
-      auto session =
-          std::make_unique<at::SolverSession>(std::move(instance), op_options);
+      auto session = std::make_unique<at::SolverSession>(std::move(instance));
+      session->set_cancel(cancel);
+      const CancelScope cancel_scope{*session};
       const at::SessionResult& res = session->solve();
-      session->set_cancel(nullptr);
       const at::SessionStats& stats = session->stats();
       r.jobs = session->num_jobs();
       r.backend = at::to_string(res.backend);

@@ -82,7 +82,6 @@ std::string session_op_to_json(const SessionOpResult& r);
 /// parallelism across *sessions* belongs to the caller).
 class SessionManager {
  public:
-  explicit SessionManager(at::SessionOptions options = {});
   ~SessionManager();
 
   /// Processes one JSONL line inside a fault boundary. Never throws.
@@ -96,7 +95,6 @@ class SessionManager {
   int open_sessions() const { return static_cast<int>(sessions_.size()); }
 
  private:
-  at::SessionOptions options_;
   std::map<std::string, std::unique_ptr<at::SolverSession>> sessions_;
 };
 

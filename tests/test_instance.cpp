@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "helpers.hpp"
 #include "util/check.hpp"
 
@@ -30,6 +32,27 @@ TEST(Instance, ValidateRejectsTightWindow) {
   i.g = 1;
   i.jobs = {Job{0, 2, 3}};  // window shorter than processing
   EXPECT_THROW(i.validate(), util::CheckError);
+}
+
+// Windows near the int64 extremes: release + p must not wrap into a
+// window that passes, and a window whose length does not fit in int64
+// must not reach Interval::length().
+TEST(Instance, ValidateRejectsWindowsThatOverflowInt64) {
+  constexpr Time kMax = std::numeric_limits<Time>::max();
+  Instance i;
+  i.g = 1;
+  i.jobs = {Job{kMax - 807, kMax, 1000}};  // release + p overflows
+  EXPECT_THROW(i.validate(), util::CheckError);
+
+  i.jobs = {Job{kMax - 10, kMax, 5, 1, 1000}};  // release + p_hi overflows
+  EXPECT_THROW(i.validate(), util::CheckError);
+
+  i.jobs = {Job{-9'000'000'000'000'000'000, 9'000'000'000'000'000'000, 3}};
+  EXPECT_THROW(i.validate(), util::CheckError);  // length overflows
+
+  i.jobs = {Job{kMax - 10, kMax, 10, 1, 10}};  // tight but representable
+  EXPECT_NO_THROW(i.validate());
+  EXPECT_EQ(i.jobs[0].window().length(), 10);
 }
 
 TEST(Instance, HorizonAndVolume) {

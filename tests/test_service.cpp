@@ -245,6 +245,19 @@ TEST(Service, ForcedSolversKeepStableErrorClasses) {
   }
 }
 
+// Windows whose int64 arithmetic overflows are invalid input, not a
+// solver failure deep in tree construction.
+TEST(Service, OverflowingWindowsAreInputValidate) {
+  for (const char* payload :
+       {R"({"g":1,"jobs":[[9223372036854775000,9223372036854775807,1000]]})",
+        R"({"g":1,"jobs":[[-9000000000000000000,9000000000000000000,3]]})"}) {
+    const CellResult cell =
+        solve_cell(json_item("wide", payload), 0, BatchOptions{});
+    EXPECT_EQ(cell.status, CellStatus::kError) << payload;
+    EXPECT_EQ(cell.failure_class, "input:validate") << payload;
+  }
+}
+
 TEST(Service, ForcedGeneralSolverTagsRecords) {
   BatchOptions options;
   options.solver = "general";

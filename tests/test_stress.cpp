@@ -4,10 +4,12 @@
 
 #include "activetime/certificates.hpp"
 #include "activetime/feasibility.hpp"
+#include "activetime/lp_relaxation.hpp"
 #include "activetime/solver.hpp"
 #include "baselines/exact.hpp"
 #include "baselines/greedy.hpp"
 #include "helpers.hpp"
+#include "lp/dense_simplex.hpp"
 #include "util/thread_pool.hpp"
 
 namespace nat::at {
@@ -80,22 +82,22 @@ TEST(Stress, GreedyAllOrdersLargeFuzz) {
   });
 }
 
-TEST(Stress, BoundedBackendMatchesDenseOnRealLps) {
-  // The strengthened LPs of real instances are the workload the
-  // bounded-variable backend exists for; the two backends must agree
-  // on the optimum, and the end-to-end result must keep every
-  // guarantee.
+TEST(Stress, SolverLpValueMatchesDenseOracleOnRealLps) {
+  // The strengthened LPs of real instances, solved by the pipeline's
+  // backend, must agree with the dense tableau oracle on the optimum,
+  // and the end-to-end result must keep every guarantee.
   for (int id = 0; id < 30; ++id) {
     const Instance inst = testing::mixed(id);
-    NestedSolveResult dense = solve_nested(inst);
-    NestedSolverOptions options;
-    options.bounded_lp_backend = true;
-    NestedSolveResult bounded = solve_nested(inst, options);
-    validate_schedule(inst, bounded.schedule);
-    EXPECT_NEAR(dense.lp_value, bounded.lp_value, 1e-5) << "instance " << id;
-    EXPECT_EQ(bounded.repairs, 0);
-    EXPECT_LE(static_cast<double>(bounded.active_slots),
-              1.8 * bounded.lp_value + 1e-5);
+    LaminarForest forest = LaminarForest::build(inst);
+    forest.canonicalize();
+    const lp::Solution dense = lp::solve(build_strong_lp(forest).model);
+    ASSERT_EQ(dense.status, lp::Status::kOptimal) << "instance " << id;
+    NestedSolveResult result = solve_nested(inst);
+    validate_schedule(inst, result.schedule);
+    EXPECT_NEAR(result.lp_value, dense.objective, 1e-5) << "instance " << id;
+    EXPECT_EQ(result.repairs, 0);
+    EXPECT_LE(static_cast<double>(result.active_slots),
+              1.8 * result.lp_value + 1e-5);
   }
 }
 
