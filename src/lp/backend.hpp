@@ -12,6 +12,32 @@
 //                           oracle
 //
 // The variable is read once per process (first solve_auto call).
+//
+// Both backends solve a block-diagonal model one block at a time. LP (1)
+// never couples two root window groups and a natural time-indexed LP
+// separates at idle gaps, so these models split into many independent
+// parts, and one simplex over all of them would price and ratio-test
+// every part on every iteration. solve_with() takes the connected
+// components of the row-variable graph (union-find over row supports,
+// O(nnz)), ordered by smallest variable index; variables in no row and
+// rows with no variable form one extra trailing block. Each block
+// becomes a sub-model with its variables and rows in their original
+// order and runs through solve_sparse. Then:
+//   * x is scattered back into whole-model order;
+//   * objective is recomputed as sum_i c_i x_i in variable order (the
+//     sum solve_sparse's extract forms);
+//   * iterations is the sum over the blocks;
+//   * status is what one two-phase solve of the whole model reports:
+//     infeasible as soon as a block is (the remaining blocks are not
+//     solved), else iteration-limit if any block hit its cap, else
+//     unbounded if any block is, else optimal; x is empty unless
+//     optimal.
+// A one-block model goes to solve_sparse unchanged, with no copy, so
+// single-root LPs keep their pivots and vertex bit for bit. The blocks
+// run one after another on the calling thread; callers already fill the
+// thread pool with whole requests. `check` compares the stitched result
+// against a dense solve of the whole model. The lp.sparse.* counters
+// count one solve per block (docs/PERFORMANCE.md, docs/OBSERVABILITY.md).
 #pragma once
 
 #include "lp/dense_simplex.hpp"
@@ -34,7 +60,7 @@ const char* backend_name(BackendKind kind);
 /// unset).
 BackendKind default_backend();
 
-/// Solves with an explicit backend.
+/// Solves with an explicit backend, one simplex per block (see above).
 Solution solve_with(BackendKind kind, const Model& model,
                     const SolveOptions& options = {});
 

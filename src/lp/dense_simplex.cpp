@@ -9,7 +9,6 @@ Solution solve(const Model& model, const SolveOptions& options) {
   TableauSimplex<DoubleTraits>::Options opt;
   opt.tol = options.tol;
   opt.feas_tol = options.feas_tol;
-  opt.max_iterations = options.max_iterations;
   opt.cancel = options.cancel;
   Solution sol = solver.solve(model, opt);
   // Every iteration of the dense tableau backend is a pivot.

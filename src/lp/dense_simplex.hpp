@@ -4,8 +4,6 @@
 // SolveOptions types.
 #pragma once
 
-#include <cstdint>
-
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
 
@@ -16,7 +14,6 @@ using Solution = GenericSolution<double>;
 struct SolveOptions {
   double tol = 1e-9;
   double feas_tol = 1e-7;
-  std::int64_t max_iterations = -1;  // -1: auto
   // Cooperative cancellation, polled per pivot (util/cancel.hpp).
   const util::CancelToken* cancel = nullptr;
 };

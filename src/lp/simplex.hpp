@@ -74,8 +74,6 @@ class TableauSimplex {
   struct Options {
     double tol = 1e-9;        // pivot/zero tolerance (ignored when exact)
     double feas_tol = 1e-7;   // phase-1 residual treated as infeasible above
-    std::int64_t max_iterations = -1;  // -1: auto from problem size
-    std::int64_t bland_after = -1;     // -1: auto
     // Polled once per pivot; check() aborts the solve by throwing
     // CancelledError. One clock read per pivot is noise next to the
     // O(rows * cols) pivot itself.
@@ -86,13 +84,8 @@ class TableauSimplex {
     opt_ = opt;
     build(model);
     GenericSolution<Num> sol;
-    if (opt_.max_iterations < 0) {
-      opt_.max_iterations =
-          200 * static_cast<std::int64_t>(rows_ + cols_) + 2000;
-    }
-    if (opt_.bland_after < 0) {
-      opt_.bland_after = 4 * static_cast<std::int64_t>(rows_ + cols_) + 200;
-    }
+    max_iterations_ = 200 * static_cast<std::int64_t>(rows_ + cols_) + 2000;
+    bland_after_ = 4 * static_cast<std::int64_t>(rows_ + cols_) + 200;
 
     Status st = phase1();
     if (st != Status::kOptimal) {
@@ -272,8 +265,8 @@ class TableauSimplex {
   Status iterate(const Allow& allow) {
     for (;;) {
       util::poll_cancel(opt_.cancel);
-      if (iterations_ >= opt_.max_iterations) return Status::kIterLimit;
-      if (!use_bland_ && iterations_ >= opt_.bland_after) use_bland_ = true;
+      if (iterations_ >= max_iterations_) return Status::kIterLimit;
+      if (!use_bland_ && iterations_ >= bland_after_) use_bland_ = true;
 
       // Entering column.
       std::ptrdiff_t enter = -1;
@@ -440,7 +433,7 @@ class TableauSimplex {
   std::size_t stride_ = 0;
   std::size_t art_begin_ = 0;
   int structural_ = 0;
-  std::int64_t iterations_ = 0;
+  std::int64_t iterations_ = 0, max_iterations_ = 0, bland_after_ = 0;
   bool use_bland_ = false;
 };
 

@@ -48,10 +48,7 @@ class SparseSimplex {
     feas_tol_ = options.feas_tol;
     cancel_ = options.cancel;
     build(model);
-    max_iterations_ = options.max_iterations >= 0
-                          ? options.max_iterations
-                          : 200 * static_cast<std::int64_t>(rows_ + cols_) +
-                                2000;
+    max_iterations_ = 200 * static_cast<std::int64_t>(rows_ + cols_) + 2000;
     bland_after_ = 4 * static_cast<std::int64_t>(rows_ + cols_) + 200;
 
     Solution sol;
@@ -691,9 +688,10 @@ class SparseSimplex {
 
   /// Bounded dual simplex: drives basic values back inside their
   /// bounds after an import whose rhs/bounds drifted from the exporting
-  /// model (window edits). Returns false on a stall or iteration cap —
-  /// the caller then cold-solves, so this phase never has to handle
-  /// pathological bases gracefully, only cheaply.
+  /// model (window edits). Returns false on a stall, an iteration cap or
+  /// a tiny pivot on a fresh factorization — the caller then
+  /// cold-solves, so this phase never has to handle pathological bases
+  /// gracefully, only cheaply.
   bool dual_phase() {
     const std::int64_t cap = 4 * static_cast<std::int64_t>(rows_ + cols_) + 200;
     std::int64_t steps = 0;
@@ -763,7 +761,11 @@ class SparseSimplex {
       ftran(work_);
       const double piv = work_[static_cast<std::size_t>(lrow)];
       if (std::abs(piv) < kUnstablePivot) {
-        if (!etas_.empty()) {
+        // Re-invert once if pivots since the last factorization may
+        // have made the eta file stale. On a fresh factorization the
+        // retry would pick the same row and column again, so the warm
+        // attempt ends and the cold path runs.
+        if (pivots_since_refactor_ > 0) {
           refactorize();
           continue;
         }

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "activetime/lp_relaxation.hpp"
@@ -14,6 +15,7 @@
 #include "instances/generators.hpp"
 #include "lp/backend.hpp"
 #include "lp/exact_simplex.hpp"
+#include "obs/counters.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -229,6 +231,31 @@ TEST(SparseSimplexWarm, MoreBasicThanRowsDropsTheSurplus) {
   expect_warm_drop_reaches_cold(m, hint);
 }
 
+TEST(SparseSimplexWarm, TinyPivotOnFreshFactorizationEndsTheWarmAttempt) {
+  // An all-lower hint on a staircase strong LP drives the dual phase
+  // into a pivot below the stability threshold on a fresh
+  // factorization. Re-inverting again would pick the same row and
+  // column on every retry, one refactorization each, so the warm
+  // attempt must end and the cold path finish the solve.
+  at::LaminarForest f = at::LaminarForest::build(at::gen::staircase(3, 20, 5));
+  f.canonicalize();
+  const at::StrongLp lp = at::build_strong_lp(f);
+  const Solution cold = solve_sparse(lp.model);
+  ASSERT_EQ(cold.status, Status::kOptimal);
+  Basis hint;
+  hint.variables.assign(static_cast<std::size_t>(lp.model.num_variables()),
+                        VarStatus::kAtLower);
+  WarmOptions warm;
+  warm.warm = &hint;
+  SparseStats stats;
+  const Solution s = solve_sparse_warm(lp.model, {}, warm, &stats);
+  ASSERT_EQ(s.status, Status::kOptimal);
+  EXPECT_NEAR(s.objective, cold.objective,
+              1e-9 * (1.0 + std::abs(cold.objective)));
+  EXPECT_EQ(stats.cold_fallback, 1);
+  EXPECT_LE(stats.refactorizations, stats.pivots + stats.dual_pivots + 2);
+}
+
 // --- bit-identity golden: strong LPs of the large batch families ---------
 
 std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -327,12 +354,10 @@ TEST(SparseSimplexGolden, PivotsAndVerticesAreBitIdentical) {
 
 // --- differential sweep vs dense/exact on random LPs ----------------------
 
-/// The parameter is the RNG seed of one random LP with heavy use of
-/// finite bounds.
-class SparseAgreement : public ::testing::TestWithParam<int> {};
-
-TEST_P(SparseAgreement, MatchesDenseAndExact) {
-  util::Rng rng(GetParam());
+/// A random LP with heavy use of finite bounds: 1-7 variables, 1-8 rows.
+/// Most such LPs are infeasible; with `feasible`, every rhs is instead
+/// set so that a random integer point inside the bounds satisfies it.
+Model random_lp(util::Rng& rng, bool feasible = false) {
   const int nvars = static_cast<int>(rng.uniform_int(1, 7));
   const int nrows = static_cast<int>(rng.uniform_int(1, 8));
   Model m;
@@ -342,6 +367,14 @@ TEST_P(SparseAgreement, MatchesDenseAndExact) {
         rng.chance(0.7) ? lo + static_cast<double>(rng.uniform_int(0, 7))
                         : kInf;
     m.add_variable("v", lo, hi, static_cast<double>(rng.uniform_int(-4, 4)));
+  }
+  std::vector<double> point;
+  if (feasible) {
+    for (const Variable& v : m.variables()) {
+      const double span = std::isfinite(v.upper) ? v.upper - v.lower : 4.0;
+      point.push_back(v.lower + static_cast<double>(rng.uniform_int(
+                                    0, static_cast<std::int64_t>(span))));
+    }
   }
   for (int r = 0; r < nrows; ++r) {
     std::vector<std::pair<int, double>> row;
@@ -354,8 +387,26 @@ TEST_P(SparseAgreement, MatchesDenseAndExact) {
     const Sense sense = rng.chance(0.3)   ? Sense::kEq
                         : rng.chance(0.5) ? Sense::kGe
                                           : Sense::kLe;
-    m.add_row(sense, static_cast<double>(rng.uniform_int(-6, 10)), row);
+    double rhs = 0.0;
+    if (feasible) {
+      for (const auto& [i, a] : row) rhs += a * point[i];
+      const double slack = static_cast<double>(rng.uniform_int(0, 3));
+      if (sense == Sense::kLe) rhs += slack;
+      if (sense == Sense::kGe) rhs -= slack;
+    } else {
+      rhs = static_cast<double>(rng.uniform_int(-6, 10));
+    }
+    m.add_row(sense, rhs, row);
   }
+  return m;
+}
+
+/// The parameter is the RNG seed of one random_lp().
+class SparseAgreement : public ::testing::TestWithParam<int> {};
+
+TEST_P(SparseAgreement, MatchesDenseAndExact) {
+  util::Rng rng(GetParam());
+  const Model m = random_lp(rng);
   Solution sparse = solve_sparse(m);
   Solution dense = solve(m);
   ASSERT_NE(sparse.status, Status::kIterLimit) << "sparse hit the cap";
@@ -378,6 +429,191 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SparseAgreement,
                          ::testing::Range(91000, 91200));
 INSTANTIATE_TEST_SUITE_P(Sweep2, SparseAgreement,
                          ::testing::Range(81000, 81200));
+
+// --- block split: solve_with(kSparse) runs one simplex per block ----------
+
+std::int64_t sparse_solves() {
+  return obs::counter("lp.sparse.solves").value();
+}
+
+/// Fisher-Yates with the repository RNG, so the order is the same on
+/// every standard library.
+void shuffle(std::vector<std::pair<int, int>>& v, util::Rng& rng) {
+  for (std::size_t i = v.size(); i > 1; --i) {
+    const auto k = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+    std::swap(v[i - 1], v[k]);
+  }
+}
+
+/// 2-4 random_lp() parts side by side (each feasible by construction
+/// with probability 0.9), their variables and rows interleaved in
+/// shuffled order, plus variables in no row, a satisfiable empty row,
+/// and a free variable tied to part 0.
+Model block_diagonal_lp(util::Rng& rng, int* parts_out) {
+  const int nparts = static_cast<int>(rng.uniform_int(2, 4));
+  std::vector<Model> parts;
+  for (int p = 0; p < nparts; ++p) {
+    const bool feasible = rng.chance(0.9);
+    parts.push_back(random_lp(rng, feasible));
+  }
+  *parts_out = nparts;
+
+  // (part, index) pairs; part -1 is a variable in no row.
+  std::vector<std::pair<int, int>> vars;
+  for (int p = 0; p < nparts; ++p) {
+    for (int i = 0; i < parts[p].num_variables(); ++i) vars.push_back({p, i});
+  }
+  const int loose = static_cast<int>(rng.uniform_int(1, 3));
+  for (int i = 0; i < loose; ++i) vars.push_back({-1, i});
+  shuffle(vars, rng);
+
+  Model m;
+  std::vector<std::vector<int>> global(static_cast<std::size_t>(nparts));
+  for (int p = 0; p < nparts; ++p) global[p].resize(parts[p].num_variables());
+  for (const auto& [p, i] : vars) {
+    if (p < 0) {
+      const double lo = static_cast<double>(rng.uniform_int(0, 2));
+      const double hi = lo + static_cast<double>(rng.uniform_int(0, 5));
+      const double cost = static_cast<double>(rng.uniform_int(-4, 4));
+      m.add_variable("loose", lo, hi, cost);
+      continue;
+    }
+    const Variable& v = parts[p].variable(i);
+    global[p][i] = m.add_variable(v.name, v.lower, v.upper, v.objective);
+  }
+  const double free_cost = static_cast<double>(rng.uniform_int(-2, 2));
+  const int free_var = m.add_variable("free", -kInf, kInf, free_cost);
+
+  // (part, row); part -1 is the empty row, part -2 ties the free
+  // variable to part 0's first variable.
+  std::vector<std::pair<int, int>> rows{{-1, 0}, {-2, 0}};
+  for (int p = 0; p < nparts; ++p) {
+    for (int r = 0; r < parts[p].num_rows(); ++r) rows.push_back({p, r});
+  }
+  shuffle(rows, rng);
+  for (const auto& [p, r] : rows) {
+    if (p == -1) {
+      m.add_row(Sense::kLe, static_cast<double>(rng.uniform_int(0, 3)), {});
+    } else if (p == -2) {
+      m.add_row(Sense::kEq, 1.0, {{free_var, 1.0}, {global[0][0], -1.0}});
+    } else {
+      const Row& row = parts[p].row(r);
+      std::vector<std::pair<int, double>> coeffs = row.coeffs;
+      for (auto& term : coeffs) term.first = global[p][term.first];
+      m.add_row(row.sense, row.rhs, std::move(coeffs));
+    }
+  }
+  return m;
+}
+
+/// The parameter is the RNG seed of one block_diagonal_lp().
+class SplitAgreement : public ::testing::TestWithParam<int> {};
+
+TEST_P(SplitAgreement, MatchesDenseAndExactOnTheWholeModel) {
+  util::Rng rng(GetParam());
+  int nparts = 0;
+  const Model m = block_diagonal_lp(rng, &nparts);
+  const std::int64_t solves0 = sparse_solves();
+  const Solution split = solve_with(BackendKind::kSparse, m);
+  const std::int64_t solves = sparse_solves() - solves0;
+  const Solution dense = solve(m);
+  const ExactSolution exact = solve_exact(m);
+  ASSERT_NE(split.status, Status::kIterLimit) << "a block hit the cap";
+  ASSERT_NE(dense.status, Status::kIterLimit);
+  EXPECT_EQ(split.status, dense.status);
+  EXPECT_EQ(split.status, exact.status);
+  if (split.status != Status::kInfeasible) {
+    // The parts, the free variable's part and the loose block.
+    EXPECT_GE(solves, nparts + 1);
+  }
+  if (split.status != Status::kOptimal) {
+    EXPECT_TRUE(split.x.empty());
+    return;
+  }
+  ASSERT_EQ(dense.status, Status::kOptimal);
+  ASSERT_EQ(exact.status, Status::kOptimal);
+  EXPECT_NEAR(split.objective, dense.objective,
+              1e-6 * (1.0 + std::abs(dense.objective)));
+  EXPECT_NEAR(split.objective, exact.objective.to_double(),
+              1e-6 * (1.0 + std::abs(dense.objective)));
+  EXPECT_EQ(split.objective, m.objective_value(split.x));
+  EXPECT_LE(m.max_violation(split.x), 1e-7);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, SplitAgreement,
+                         ::testing::Range(71000, 71200));
+
+TEST(BlockSplit, OneBlockIsSolveSparseBitForBit) {
+  // Single-root strong LPs are one block: solve_with must hand the model
+  // to solve_sparse unchanged, so pivots and vertex are the same bits.
+  for (const at::Instance& inst :
+       {at::gen::binary_nest(4, 4), at::gen::staircase(3, 20, 5)}) {
+    at::LaminarForest f = at::LaminarForest::build(inst);
+    f.canonicalize();
+    const at::StrongLp lp = at::build_strong_lp(f);
+    const Solution direct = solve_sparse(lp.model);
+    const std::int64_t solves0 = sparse_solves();
+    const Solution split = solve_with(BackendKind::kSparse, lp.model);
+    EXPECT_EQ(sparse_solves() - solves0, 1);
+    ASSERT_EQ(split.status, Status::kOptimal);
+    EXPECT_EQ(split.iterations, direct.iterations);
+    EXPECT_EQ(bits_of(split.objective), bits_of(direct.objective));
+    EXPECT_EQ(hash_bits(split.x), hash_bits(direct.x));
+  }
+}
+
+TEST(BlockSplit, StatusPrecedenceMatchesDense) {
+  // Each model has an unbounded block (variable 0) ahead of the block
+  // that decides the status.
+  auto with_unbounded_block = [] {
+    Model m;
+    const int y = m.add_variable("y", 0.0, kInf, -1.0);
+    m.add_row(Sense::kGe, 0.0, {{y, 1.0}});
+    return m;
+  };
+  {
+    // Unbounded, then infeasible: a whole-model phase 1 stops first.
+    Model m = with_unbounded_block();
+    const int x = m.add_variable("x", 0.0, 1.0, 1.0);
+    m.add_row(Sense::kGe, 2.0, {{x, 1.0}});
+    EXPECT_EQ(solve(m).status, Status::kInfeasible);
+    const Solution s = solve_with(BackendKind::kSparse, m);
+    EXPECT_EQ(s.status, Status::kInfeasible);
+    EXPECT_TRUE(s.x.empty());
+  }
+  {
+    // Infeasible, then unbounded: the merge stops at the first block.
+    Model m;
+    const int x = m.add_variable("x", 0.0, 1.0, 1.0);
+    m.add_row(Sense::kGe, 2.0, {{x, 1.0}});
+    const int y = m.add_variable("y", 0.0, kInf, -1.0);
+    m.add_row(Sense::kGe, 0.0, {{y, 1.0}});
+    EXPECT_EQ(solve(m).status, Status::kInfeasible);
+    const std::int64_t solves0 = sparse_solves();
+    EXPECT_EQ(solve_with(BackendKind::kSparse, m).status, Status::kInfeasible);
+    EXPECT_EQ(sparse_solves() - solves0, 1);
+  }
+  {
+    // Unbounded, then optimal.
+    Model m = with_unbounded_block();
+    const int x = m.add_variable("x", 0.0, 3.0, -1.0);
+    m.add_row(Sense::kLe, 2.0, {{x, 1.0}});
+    EXPECT_EQ(solve(m).status, Status::kUnbounded);
+    const Solution s = solve_with(BackendKind::kSparse, m);
+    EXPECT_EQ(s.status, Status::kUnbounded);
+    EXPECT_TRUE(s.x.empty());
+  }
+  {
+    // An optimal block plus the empty row 0 >= 1.
+    Model m;
+    const int x = m.add_variable("x", 0.0, 3.0, -1.0);
+    m.add_row(Sense::kLe, 2.0, {{x, 1.0}});
+    m.add_row(Sense::kGe, 1.0, {});
+    EXPECT_EQ(solve(m).status, Status::kInfeasible);
+    EXPECT_EQ(solve_with(BackendKind::kSparse, m).status, Status::kInfeasible);
+  }
+}
 
 // --- the repository's real LP corpus -------------------------------------
 
