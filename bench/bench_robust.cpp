@@ -7,13 +7,13 @@
 //    solved twice — once as the stripped point instance through
 //    solve_active_time, once with its [p_lo, p_hi] boxes through
 //    solve_robust. The headline number is the overhead ratio
-//    (robust wall / point wall): the robust pipeline adds a worst-case
-//    feasibility flow, a lo-corner LP, and a hi-corner solve on top of
-//    the nominal solve, so the ratio should sit near 3 and is gated by
-//    the CI perf gate (tools/perf_gate.py, DOC_CEILINGS) on any
-//    hardware. The sandwich LP(p_lo) <= ALG <= robust_hi is asserted on
-//    every draw, as is bit-identity of the nominal schedule with the
-//    point solve.
+//    (robust wall / point wall): the robust pipeline adds a hi-corner
+//    solve (whose precheck is the worst-case feasibility flow) and a
+//    lo-corner LP on top of the nominal solve, so the ratio should sit
+//    near 3 and is gated by the CI perf gate (tools/perf_gate.py,
+//    DOC_CEILINGS) on any hardware. The sandwich LP(p_lo) <= ALG <=
+//    robust_hi is asserted on every draw, as is bit-identity of the
+//    nominal schedule with the point solve.
 //  * degenerate point: point instances through solve_robust — the
 //    degenerate path must be a transparent wrapper, so its overhead is
 //    timed (and its bit-identity asserted) separately.
@@ -216,7 +216,7 @@ int main(int argc, char** argv) {
   const double overhead_ratio = total_robust_s / std::max(total_point_s, 1e-9);
   doc["overhead_ratio"] = overhead_ratio;
   std::cout << "\nrobust/point overhead ratio: " << overhead_ratio
-            << " (nominal + feasibility flow + lo LP + hi solve)\n";
+            << " (nominal + hi solve + lo LP)\n";
 
   bench::write_bench_json(doc, out_path);
   return 0;

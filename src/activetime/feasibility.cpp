@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <utility>
 
 #include "flow/dinic.hpp"
 #include "obs/counters.hpp"
@@ -17,83 +18,135 @@ std::vector<Time> dedup_sorted(std::vector<Time> v) {
   return v;
 }
 
-/// Builds the job→slot network. The job→slot arcs are stored sparsely:
-/// a job's half-open window covers a *contiguous* run of the sorted
-/// slot array, so per job we keep the first covered slot index plus one
-/// edge id per covered slot. The former dense n×S matrix needed
-/// n*S entries (and n*S index products that overflow 32 bits near the
-/// job-count cap with wide windows); this is O(total covered slots).
-struct SlotNetwork {
-  flow::MaxFlowGraph graph;
-  int s = 0, t = 0;
-  std::vector<std::size_t> job_first_slot;  // index into slots, per job
-  std::vector<std::vector<int>> job_edges;  // edge ids, per covered slot
-  std::vector<Time> slots;
-};
-
-SlotNetwork build_slot_network(const Instance& instance,
-                               const std::vector<Time>& open_slots) {
-  SlotNetwork net;
-  net.slots = dedup_sorted(open_slots);
-  const int n = instance.num_jobs();
-  const int S = static_cast<int>(net.slots.size());
-  net.graph = flow::MaxFlowGraph(n + S + 2);
-  net.s = n + S;
-  net.t = n + S + 1;
-  net.job_first_slot.assign(static_cast<std::size_t>(n), 0);
-  net.job_edges.resize(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) {
-    net.graph.add_edge(net.s, j, instance.jobs[j].processing);
-  }
-  for (int k = 0; k < S; ++k) {
-    net.graph.add_edge(n + k, net.t, instance.g);
-  }
-  for (int j = 0; j < n; ++j) {
-    const Interval w = instance.jobs[j].window();
-    const auto first =
-        std::lower_bound(net.slots.begin(), net.slots.end(), w.lo);
-    const auto last = std::lower_bound(first, net.slots.end(), w.hi);
-    net.job_first_slot[j] =
-        static_cast<std::size_t>(first - net.slots.begin());
-    auto& edges = net.job_edges[j];
-    edges.reserve(static_cast<std::size_t>(last - first));
-    for (auto it = first; it != last; ++it) {
-      const int k = static_cast<int>(it - net.slots.begin());
-      edges.push_back(net.graph.add_edge(j, n + k, 1));
-    }
-  }
-  return net;
+/// A fresh oracle over the deduplicated `open_slots`, every slot open.
+SlotOracle all_open(const Instance& instance,
+                    const std::vector<Time>& open_slots) {
+  SlotOracle oracle(instance, dedup_sorted(open_slots));
+  for (int k = 0; k < oracle.num_slots(); ++k) oracle.set_open(k, true);
+  return oracle;
 }
 
 }  // namespace
 
-bool feasible_with_slots(const Instance& instance,
-                         const std::vector<Time>& open_slots) {
-  static obs::Counter& c = obs::counter("at.oracle.slot_checks");
-  c.add(1);
-  SlotNetwork net = build_slot_network(instance, open_slots);
-  return net.graph.max_flow(net.s, net.t) == instance.total_volume();
+SlotOracle::SlotOracle(const Instance& instance, std::vector<Time> slots,
+                       const util::CancelToken* cancel)
+    : instance_(&instance),
+      slots_(std::move(slots)),
+      cancel_(cancel),
+      graph_(instance.num_jobs() + static_cast<int>(slots_.size()) + 2) {
+  const int n = instance.num_jobs();
+  const int S = num_slots();
+  s_ = n + S;
+  t_ = n + S + 1;
+  for (int j = 0; j < n; ++j) {
+    graph_.add_edge(s_, j, instance.jobs[j].processing);
+  }
+  sink_edge_.resize(static_cast<std::size_t>(S));
+  for (int k = 0; k < S; ++k) {
+    sink_edge_[k] = graph_.add_edge(n + k, t_, 0);  // every slot closed
+  }
+  // Sparse job→slot arcs: O(total covered slots) memory and no n·S
+  // index products, which overflow 32 bits near the job-count cap on
+  // wide horizons.
+  job_arcs_.resize(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    const Interval w = instance.jobs[j].window();
+    const auto first = std::lower_bound(slots_.begin(), slots_.end(), w.lo);
+    const auto last = std::lower_bound(first, slots_.end(), w.hi);
+    job_arcs_[j] = {static_cast<int>(first - slots_.begin()),
+                    static_cast<int>(last - slots_.begin()),
+                    arc_edge_.size()};
+    for (auto it = first; it != last; ++it) {
+      arc_edge_.push_back(
+          graph_.add_edge(j, n + static_cast<int>(it - slots_.begin()), 1));
+    }
+  }
+  open_.assign(static_cast<std::size_t>(S), 0);
+  total_volume_ = instance.total_volume();
 }
 
-std::optional<Schedule> schedule_with_slots(
-    const Instance& instance, const std::vector<Time>& open_slots) {
-  SlotNetwork net = build_slot_network(instance, open_slots);
-  if (net.graph.max_flow(net.s, net.t) != instance.total_volume()) {
-    return std::nullopt;
+void SlotOracle::set_open(int k, bool open) {
+  if (is_open(k) == open) return;
+  open_[k] = open ? 1 : 0;
+  open_count_ += open ? 1 : -1;
+  graph_.set_capacity(sink_edge_[k], open ? instance_->g : 0);
+}
+
+void SlotOracle::apply(const std::vector<char>& open) {
+  NAT_CHECK(static_cast<int>(open.size()) == num_slots());
+  for (int k = 0; k < num_slots(); ++k) set_open(k, open[k] != 0);
+}
+
+bool SlotOracle::feasible() {
+  util::poll_cancel(cancel_);
+  static obs::Counter& c = obs::counter("at.oracle.slot_checks");
+  c.add(1);
+  graph_.max_flow(s_, t_);
+  return graph_.flow_value() == total_volume_;
+}
+
+int SlotOracle::close_while_feasible(const std::vector<int>& order) {
+  int closed = 0;
+  for (int k : order) {
+    if (!is_open(k)) continue;
+    set_open(k, false);
+    if (feasible()) {
+      ++closed;
+    } else {
+      set_open(k, true);
+    }
   }
-  const int n = instance.num_jobs();
-  Schedule sched;
-  sched.assignment.resize(n);
+  return closed;
+}
+
+bool SlotOracle::open_can_help(int k, const std::vector<bool>& cut) const {
+  const int n = instance_->num_jobs();
   for (int j = 0; j < n; ++j) {
-    const std::size_t first = net.job_first_slot[j];
-    const std::vector<int>& edges = net.job_edges[j];
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      if (net.graph.flow_on(edges[i]) > 0) {
-        sched.assignment[j].push_back(net.slots[first + i]);
+    if (cut[j] && job_arcs_[j].first <= k && k < job_arcs_[j].last) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::vector<bool> SlotOracle::cut_source_side() const {
+  return graph_.min_cut_source_side(s_);
+}
+
+std::vector<Time> SlotOracle::open_slots() const {
+  std::vector<Time> out;
+  for (int k = 0; k < num_slots(); ++k) {
+    if (open_[k]) out.push_back(slots_[k]);
+  }
+  return out;
+}
+
+Schedule SlotOracle::schedule() const {
+  const int n = instance_->num_jobs();
+  Schedule sched;
+  sched.assignment.resize(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    const JobArcs& arcs = job_arcs_[j];
+    std::size_t arc = arcs.arc;
+    for (int k = arcs.first; k < arcs.last; ++k, ++arc) {
+      if (graph_.flow_on(arc_edge_[arc]) > 0) {
+        sched.assignment[j].push_back(slots_[k]);
       }
     }
   }
   return sched;
+}
+
+bool feasible_with_slots(const Instance& instance,
+                         const std::vector<Time>& open_slots) {
+  return all_open(instance, open_slots).feasible();
+}
+
+std::optional<Schedule> schedule_with_slots(
+    const Instance& instance, const std::vector<Time>& open_slots) {
+  SlotOracle oracle = all_open(instance, open_slots);
+  if (!oracle.feasible()) return std::nullopt;
+  return oracle.schedule();
 }
 
 std::vector<Time> materialize_slots(const LaminarForest& forest,

@@ -7,7 +7,6 @@
 
 #include "activetime/feasibility.hpp"
 #include "activetime/time_indexed_lp.hpp"
-#include "flow/dinic.hpp"
 #include "lp/backend.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -25,114 +24,6 @@ const char* to_string(GeneralRounding rounding) {
 }
 
 namespace {
-
-/// Warm slot-level feasibility oracle over the full horizon: the
-/// job→slot network of feasibility.cpp built once per solve, slot→sink
-/// capacities retuned in place (g when open, 0 when closed), max-flow
-/// warm-started between queries. The general-instance sibling of the
-/// region-level FeasibilityOracle (oracle.hpp).
-class SlotOracle {
- public:
-  SlotOracle(const Instance& instance, std::vector<Time> slots,
-             const util::CancelToken* cancel)
-      : instance_(&instance),
-        slots_(std::move(slots)),
-        cancel_(cancel),
-        graph_(instance.num_jobs() + static_cast<int>(slots_.size()) + 2) {
-    const int n = instance.num_jobs();
-    const int S = num_slots();
-    s_ = n + S;
-    t_ = n + S + 1;
-    for (int j = 0; j < n; ++j) {
-      graph_.add_edge(s_, j, instance.jobs[j].processing);
-    }
-    sink_edge_.resize(S);
-    for (int k = 0; k < S; ++k) {
-      sink_edge_[k] = graph_.add_edge(n + k, t_, 0);  // every slot closed
-    }
-    // Sparse job→slot arcs: a half-open window covers a contiguous run
-    // of the sorted slot array, so per job we keep [first, last) slot
-    // indices instead of the former dense n×S matrix (whose n*S index
-    // products overflow 32 bits near the job-count cap on wide
-    // horizons, and whose memory is quadratic for no reason).
-    job_slot_range_.resize(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) {
-      const Interval w = instance.jobs[j].window();
-      const auto first = std::lower_bound(slots_.begin(), slots_.end(), w.lo);
-      const auto last = std::lower_bound(first, slots_.end(), w.hi);
-      job_slot_range_[j] = {static_cast<int>(first - slots_.begin()),
-                            static_cast<int>(last - slots_.begin())};
-      for (auto it = first; it != last; ++it) {
-        graph_.add_edge(j, n + static_cast<int>(it - slots_.begin()), 1);
-      }
-    }
-    open_.assign(S, 0);
-    total_volume_ = instance.total_volume();
-  }
-
-  int num_slots() const { return static_cast<int>(slots_.size()); }
-  bool is_open(int k) const { return open_[k] != 0; }
-  std::int64_t open_count() const { return open_count_; }
-
-  void set_open(int k, bool open) {
-    if (is_open(k) == open) return;
-    open_[k] = open ? 1 : 0;
-    open_count_ += open ? 1 : -1;
-    graph_.set_capacity(sink_edge_[k], open ? instance_->g : 0);
-  }
-
-  void apply(const std::vector<char>& open) {
-    NAT_CHECK(static_cast<int>(open.size()) == num_slots());
-    for (int k = 0; k < num_slots(); ++k) set_open(k, open[k] != 0);
-  }
-
-  /// Warm max-flow saturation test for the current open set.
-  bool feasible() {
-    util::poll_cancel(cancel_);
-    static obs::Counter& c = obs::counter("at.general.oracle_checks");
-    c.add(1);
-    graph_.max_flow(s_, t_);
-    return graph_.flow_value() == total_volume_;
-  }
-
-  /// After an infeasible feasible(): true iff opening closed slot `k`
-  /// creates an augmenting path — some min-cut-source-side job's window
-  /// contains it, so s→…→j (residual) →k (cap 1, unused) →t (cap g)
-  /// strictly grows the flow.
-  bool open_can_help(int k, const std::vector<bool>& cut) const {
-    const int n = instance_->num_jobs();
-    for (int j = 0; j < n; ++j) {
-      const auto& [first, last] = job_slot_range_[j];
-      if (cut[j] && first <= k && k < last) return true;
-    }
-    return false;
-  }
-
-  std::vector<bool> cut_source_side() const {
-    return graph_.min_cut_source_side(s_);
-  }
-
-  std::vector<Time> open_slots() const {
-    std::vector<Time> out;
-    for (int k = 0; k < num_slots(); ++k) {
-      if (open_[k]) out.push_back(slots_[k]);
-    }
-    return out;
-  }
-
- private:
-  const Instance* instance_;
-  std::vector<Time> slots_;
-  const util::CancelToken* cancel_;
-  flow::MaxFlowGraph graph_;
-  int s_ = 0, t_ = 0;
-  std::vector<int> sink_edge_;
-  // Per-job [first, last) covered range of the sorted slot array.
-  std::vector<std::pair<int, int>> job_slot_range_;
-  std::vector<char> open_;
-  std::int64_t open_count_ = 0;
-  std::int64_t total_volume_ = 0;
-};
 
 /// Opens slots (in `priority` order, cut-guided) until feasible.
 /// Every opened slot strictly increases the max flow, so the loop
@@ -166,18 +57,6 @@ int repair_open_slots(SlotOracle& oracle, const std::vector<int>& priority,
   return repairs;
 }
 
-/// Closes slots (in `order`) while the oracle stays feasible. One pass
-/// reaches minimality: feasibility is monotone in the open set.
-void trim_open_slots(SlotOracle& oracle, const std::vector<int>& order,
-                     const util::CancelToken* cancel) {
-  for (int k : order) {
-    if (!oracle.is_open(k)) continue;
-    util::poll_cancel(cancel);
-    oracle.set_open(k, false);
-    if (!oracle.feasible()) oracle.set_open(k, true);
-  }
-}
-
 constexpr double kEps = 1e-9;
 
 }  // namespace
@@ -197,7 +76,7 @@ GeneralSolveResult solve_general(const Instance& instance,
   for (Time t = horizon.lo; t < horizon.hi; ++t) slots.push_back(t);
   const int T = static_cast<int>(slots.size());
 
-  SlotOracle oracle(instance, slots, options.cancel);
+  SlotOracle oracle(instance, std::move(slots), options.cancel);
 
   // Feasibility of the instance itself (every slot open).
   {
@@ -215,7 +94,7 @@ GeneralSolveResult solve_general(const Instance& instance,
     obs::Span span("solve_general/greedy");
     std::vector<char> all(T, 1);
     oracle.apply(all);
-    trim_open_slots(oracle, right_to_left, options.cancel);
+    oracle.close_while_feasible(right_to_left);
     return oracle.open_count();
   };
 
@@ -266,7 +145,7 @@ GeneralSolveResult solve_general(const Instance& instance,
       // Trimming only removes slots, so feasibility and the budget hold;
       // unlike Algorithm 1, this rounding has no per-slot charging
       // argument that a trim could invalidate.
-      trim_open_slots(oracle, by_x_asc, options.cancel);
+      oracle.close_while_feasible(by_x_asc);
       return oracle.open_count();
     };
     // ALG <= 2·LP, with double-path slack mirroring the rational

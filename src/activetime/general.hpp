@@ -5,8 +5,9 @@
 // drops that restriction. It solves the natural time-indexed LP
 // (time_indexed_lp.hpp) through the shared lp::solve_auto backend and
 // rounds the fractional x(t) to an open-slot set with a flow-repair
-// loop on a *warm* slot-level oracle (one Lemma-4.1-style network per
-// solve, Dinic capacities retuned in place between queries):
+// loop on a *warm* SlotOracle (feasibility.hpp: one Lemma-4.1-style
+// network per solve, Dinic capacities retuned in place between
+// queries):
 //
 //  * threshold candidate: open S = {t : x(t) >= 1/2}; while the flow
 //    test fails, open the highest-x closed slot whose opening grows the

@@ -1,12 +1,8 @@
 #include "activetime/robust.hpp"
 
 #include <algorithm>
-#include <vector>
 
-#include "activetime/feasibility.hpp"
-#include "activetime/oracle.hpp"
 #include "activetime/time_indexed_lp.hpp"
-#include "activetime/tree.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -14,31 +10,6 @@
 namespace nat::at {
 
 namespace {
-
-/// Lemma 4.1 worst-case feasibility: does the p_hi corner fit with
-/// every slot open? Laminar corners ride the warm region-level
-/// FeasibilityOracle (every region count at L(i)); general corners use
-/// the slot-level network of feasibility.cpp.
-bool worst_case_feasible(const Instance& hi,
-                         const util::CancelToken* cancel) {
-  if (hi.jobs.empty()) return true;
-  util::poll_cancel(cancel);
-  if (hi.is_laminar()) {
-    LaminarForest forest = LaminarForest::build(hi);
-    FeasibilityOracle oracle(forest);
-    oracle.set_cancel(cancel);
-    std::vector<Time> open(static_cast<std::size_t>(forest.num_nodes()));
-    for (int i = 0; i < forest.num_nodes(); ++i) {
-      open[static_cast<std::size_t>(i)] = forest.node(i).length();
-    }
-    return oracle.feasible(open);
-  }
-  const Interval horizon = hi.horizon();
-  std::vector<Time> slots;
-  slots.reserve(static_cast<std::size_t>(horizon.length()));
-  for (Time t = horizon.lo; t < horizon.hi; ++t) slots.push_back(t);
-  return feasible_with_slots(hi, slots);
-}
 
 /// LP lower bound of a point corner: the strengthened LP when laminar
 /// (the bound the 9/5 pipeline is stated against), the natural
@@ -58,7 +29,6 @@ RobustSolveResult solve_robust(const Instance& instance,
 
   ActiveTimeOptions base = options.base;
   if (options.cancel != nullptr) base.cancel = options.cancel;
-  const util::CancelToken* cancel = base.cancel;
 
   RobustSolveResult result;
   if (!instance.has_processing_intervals()) {
@@ -79,16 +49,18 @@ RobustSolveResult solve_robust(const Instance& instance,
   static obs::Counter& c_solves = obs::counter("at.robust.solves");
   c_solves.add(1);
 
-  // Worst-case feasibility first: if the p_hi corner fits with every
-  // slot open, every realization in the box fits (feasibility is
-  // antitone in each p_j). The message carries "instance is
-  // infeasible" so the service layers classify it as such.
+  // The p_hi corner first. Its solve starts with the all-open Lemma 4.1
+  // flow test, and if the worst corner fits, every realization in the
+  // box fits (feasibility is antitone in each p_j). An infeasible corner
+  // throws "instance is infeasible" before anything else runs, which
+  // the service layers classify as such.
   const Instance hi = instance.hi_corner();
+  ActiveTimeResult hi_result;
   {
-    obs::Span span("solve_robust/worst_case_feasibility");
-    NAT_CHECK_MSG(worst_case_feasible(hi, cancel),
-                  "instance is infeasible at the worst-case (p_hi) corner");
+    obs::Span span("solve_robust/hi_corner_solve");
+    hi_result = solve_active_time(hi, base);
   }
+  result.hi_backend = hi_result.backend;
 
   // Nominal solve. The solvers only ever read `processing`, so passing
   // the interval-carrying instance gives the same schedule as its
@@ -107,13 +79,8 @@ RobustSolveResult solve_robust(const Instance& instance,
   // many slots always suffice. The roundings are not provably monotone
   // in p, so clamp with the nominal cost to keep ALG(p) <= robust_hi
   // exact.
-  {
-    obs::Span span("solve_robust/hi_corner_solve");
-    const ActiveTimeResult hi_result = solve_active_time(hi, base);
-    result.hi_backend = hi_result.backend;
-    result.robust_hi =
-        std::max(hi_result.active_slots, result.nominal.active_slots);
-  }
+  result.robust_hi =
+      std::max(hi_result.active_slots, result.nominal.active_slots);
 
   const verify::VerifyLevel vlevel =
       verify::resolve_level(options.verify_level);

@@ -3,23 +3,25 @@
 //
 // Jobs may carry an uncertainty box [p_lo, p_hi] around their nominal
 // processing time (job.hpp). solve_robust certifies the whole box from
-// its two cost corners:
+// its two cost corners, in this order:
 //
-//  * worst-case feasibility — the p_hi corner is checked against the
-//    all-slots-open Lemma 4.1 flow network before anything else runs
-//    (laminar corners ride the warm region-level FeasibilityOracle;
-//    general corners use the slot-level network). If the worst corner
-//    fits, every realization in the box fits, since feasibility is
-//    antitone in every p_j;
+//  * the p_hi corner solve — worst-case feasibility and the upper
+//    bound. The corner's solve_active_time starts with its all-slots-
+//    open Lemma 4.1 flow test (region-level FeasibilityOracle when
+//    laminar, SlotOracle otherwise), so that precheck is the
+//    worst-case test: if the worst corner fits, every realization in
+//    the box fits, since feasibility is antitone in every p_j;
+//  * the nominal solve;
 //  * best-case lower bound `robust_lo` — the LP relaxation of the p_lo
 //    corner (strengthened LP when laminar, natural time-indexed LP
 //    otherwise). LP(p_lo) <= OPT(p_lo) <= OPT(p) for every realization
-//    p in the box, because OPT is monotone in each p_j;
-//  * worst-case upper bound `robust_hi` — the algorithmic cost of the
-//    p_hi corner, clamped from below by the nominal cost. ALG(p_hi) >=
-//    OPT(p_hi) >= OPT(p) for every realization, so `robust_hi` open
-//    slots always suffice (the clamp covers the fact that the rounding
-//    heuristics are not provably monotone in p).
+//    p in the box, because OPT is monotone in each p_j.
+//
+// The worst-case upper bound `robust_hi` is the algorithmic cost of the
+// p_hi corner, clamped from below by the nominal cost. ALG(p_hi) >=
+// OPT(p_hi) >= OPT(p) for every realization, so `robust_hi` open slots
+// always suffice (the clamp covers the fact that the rounding
+// heuristics are not provably monotone in p).
 //
 // The verify layer re-certifies the sandwich
 // LP(p_lo) <= ALG(p) <= robust_hi in rational arithmetic at kFull
@@ -62,8 +64,9 @@ struct RobustSolveResult {
 };
 
 /// Solves the nominal instance and certifies the uncertainty box.
-/// Throws util::CheckError "instance is infeasible" when the worst-case
-/// (p_hi) corner does not fit with every slot open.
+/// Throws util::CheckError "instance is infeasible" (from the corner's
+/// own precheck) when the worst-case (p_hi) corner does not fit with
+/// every slot open.
 RobustSolveResult solve_robust(const Instance& instance,
                                const RobustSolverOptions& options = {});
 

@@ -8,11 +8,7 @@
 #include <unordered_set>
 #include <utility>
 
-#include "activetime/feasibility.hpp"
 #include "activetime/general.hpp"
-#include "activetime/lp_transform.hpp"
-#include "activetime/oracle.hpp"
-#include "activetime/rounding.hpp"
 #include "activetime/solver.hpp"
 #include "util/check.hpp"
 
@@ -182,7 +178,6 @@ const SessionResult& SolverSession::apply(const Delta& delta) {
 }
 
 void SolverSession::resolve() {
-  ++stats_.solves;
   const auto groups = window_groups(instance_);
 
   // Pass 1: match groups against the cache by content.
@@ -220,7 +215,6 @@ void SolverSession::resolve() {
   std::unordered_map<std::uint64_t, GroupSolve> next;
   next.reserve(groups.size());
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    ++stats_.groups_total;
     GroupSolve entry;
     if (plan[gi].reuse != nullptr) {
       ++stats_.groups_reused;
@@ -283,6 +277,7 @@ SolverSession::GroupSolve SolverSession::solve_group(
   Instance sub;
   sub.g = instance_.g;
   sub.jobs = out.jobs;
+  ++stats_.oracle_builds;
 
   if (!sub.is_laminar()) {
     // Crossing windows: dispatch this group to the general 2-approx
@@ -290,74 +285,55 @@ SolverSession::GroupSolve SolverSession::solve_group(
     // not map onto the strong LP's), so a later re-solve of this group
     // starts cold — mapping is a performance channel, never a
     // correctness one, and the content cache still dedupes repeats.
-    ++stats_.oracle_builds;
     GeneralSolverOptions general;
     general.cancel = cancel_;
-    const GeneralSolveResult res = solve_general(sub, general);
+    GeneralSolveResult res = solve_general(sub, general);
     out.backend = res.lp_failed ? Backend::kGreedy : Backend::kGeneral;
     out.lp_value = res.lp_value;
     out.repairs = res.repairs;
-    out.active_slots = res.active_slots;
-    out.slots = res.schedule.assignment;
+    out.slots = std::move(res.schedule.assignment);
     return out;
   }
 
-  LaminarForest forest = LaminarForest::build(sub);
-  forest.canonicalize();
-
-  FeasibilityOracle oracle(forest);
-  oracle.set_cancel(cancel_);
-  ++stats_.oracle_builds;
-  std::vector<Time> full(static_cast<std::size_t>(forest.num_nodes()));
-  for (int i = 0; i < forest.num_nodes(); ++i) {
-    full[static_cast<std::size_t>(i)] = forest.node(i).length();
-  }
-  NAT_CHECK_MSG(oracle.feasible(full), "instance is infeasible");
-
-  StrongLp lp = build_strong_lp(forest);
-  out.var_keys = variable_keys(forest, lp);
-
-  lp::SolveOptions lp_options;
-  lp_options.cancel = cancel_;
-  lp::WarmOptions warm;
-  warm.canonical = true;
-  warm.export_basis = &out.basis;
-  lp::Basis mapped;
-  if (hint != nullptr && !hint->basis.empty() &&
-      hint->var_keys.size() == hint->basis.variables.size()) {
-    std::unordered_map<std::string_view, lp::VarStatus> old_status;
-    old_status.reserve(hint->var_keys.size());
-    for (std::size_t v = 0; v < hint->var_keys.size(); ++v) {
-      old_status.emplace(hint->var_keys[v], hint->basis.variables[v]);
+  // The warm LP (1) step: map the hint's exported basis onto this
+  // model by variable content keys, solve on the canonicalizing sparse
+  // simplex, and export this model's basis for the next delta.
+  const auto warm_lp = [&](const LaminarForest& forest, const StrongLp& lp) {
+    out.var_keys = variable_keys(forest, lp);
+    lp::SolveOptions lp_options;
+    lp_options.cancel = cancel_;
+    lp::WarmOptions warm;
+    warm.canonical = true;
+    warm.export_basis = &out.basis;
+    lp::Basis mapped;
+    if (hint != nullptr && !hint->basis.empty() &&
+        hint->var_keys.size() == hint->basis.variables.size()) {
+      std::unordered_map<std::string_view, lp::VarStatus> old_status;
+      old_status.reserve(hint->var_keys.size());
+      for (std::size_t v = 0; v < hint->var_keys.size(); ++v) {
+        old_status.emplace(hint->var_keys[v], hint->basis.variables[v]);
+      }
+      mapped.variables.assign(out.var_keys.size(), lp::VarStatus::kAtLower);
+      for (std::size_t v = 0; v < out.var_keys.size(); ++v) {
+        auto it = old_status.find(out.var_keys[v]);
+        if (it != old_status.end()) mapped.variables[v] = it->second;
+      }
+      warm.warm = &mapped;
     }
-    mapped.variables.assign(out.var_keys.size(), lp::VarStatus::kAtLower);
-    for (std::size_t v = 0; v < out.var_keys.size(); ++v) {
-      auto it = old_status.find(out.var_keys[v]);
-      if (it != old_status.end()) mapped.variables[v] = it->second;
-    }
-    warm.warm = &mapped;
-  }
-  lp::SparseStats lp_stats;
-  lp::Solution sol =
-      lp::solve_sparse_warm(lp.model, lp_options, warm, &lp_stats);
-  NAT_CHECK_MSG(sol.status == lp::Status::kOptimal,
-                "strong LP did not solve: " << lp::to_string(sol.status));
-  stats_.lp_warm_hits += lp_stats.warm_hit;
-  stats_.lp_warm_repairs += lp_stats.warm_repair;
-  stats_.lp_cold_fallbacks += lp_stats.cold_fallback;
-  out.lp_value = sol.objective;
-
-  FractionalSolution frac = unpack(lp, sol);
-  push_down_transform(forest, lp, frac);
-  const std::vector<int> topmost = topmost_positive(forest, frac.x);
-  RoundingResult rounded = round_solution(forest, frac.x, topmost);
-  std::vector<Time> counts = std::move(rounded.x_tilde);
-  out.repairs = repair_open_counts(forest, oracle, counts);
-
-  auto schedule = schedule_with_counts(forest, counts);
-  NAT_CHECK_MSG(schedule.has_value(), "post-repair extraction failed");
-  out.active_slots = schedule->active_slots();
-  out.slots = std::move(schedule->assignment);
+    lp::SparseStats lp_stats;
+    lp::Solution sol =
+        lp::solve_sparse_warm(lp.model, lp_options, warm, &lp_stats);
+    stats_.lp_warm_hits += lp_stats.warm_hit;
+    stats_.lp_warm_repairs += lp_stats.warm_repair;
+    stats_.lp_cold_fallbacks += lp_stats.cold_fallback;
+    return sol;
+  };
+  NestedSolverOptions nested;
+  nested.cancel = cancel_;
+  NestedSolveResult res = solve_nested(sub, nested, warm_lp);
+  out.lp_value = res.lp_value;
+  out.repairs = res.repairs;
+  out.slots = std::move(res.schedule.assignment);
   return out;
 }
 

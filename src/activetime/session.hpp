@@ -15,9 +15,15 @@
 // dirty group's LP from the displaced group's exported basis, mapped
 // across models by content descriptors.
 //
-// Determinism contract: a group is solved by the canonicalizing sparse
-// simplex (lp/sparse_simplex.hpp), which terminates at the same optimal
-// vertex whether it started cold or warm. Downstream stages are
+// A laminar group runs through solve_nested (solver.hpp) — the same
+// precheck, push-down, Algorithm 1, repair, extraction, NAT_VERIFY
+// hooks and solve_nested/* spans as the batch path — with the session's
+// warm LP (1) step in place of the cold lp::solve_auto. A crossing
+// group runs through solve_general.
+//
+// Determinism contract: a group's LP is solved by the canonicalizing
+// sparse simplex (lp/sparse_simplex.hpp), which terminates at the same
+// optimal vertex whether it started cold or warm. Downstream stages are
 // deterministic functions of that vertex, so an incremental re-solve is
 // BIT-IDENTICAL to a fresh SolverSession built on the same instance —
 // tests/test_session.cpp asserts this on every step of randomized delta
@@ -75,8 +81,6 @@ using Delta =
 
 /// Cumulative session statistics (reset never; diff across calls).
 struct SessionStats {
-  std::int64_t solves = 0;          // solve()/apply() calls that resolved
-  std::int64_t groups_total = 0;    // groups seen across all resolves
   std::int64_t groups_resolved = 0; // groups actually re-solved
   std::int64_t groups_reused = 0;   // cache hits (untouched groups)
   std::int64_t oracle_builds = 0;   // flow networks built by this session
@@ -128,7 +132,6 @@ class SolverSession {
     std::vector<Job> jobs;  // group content, in current-instance order
     Interval window{0, 0};  // union of the member windows
     std::vector<std::vector<Time>> slots;  // per member, sorted
-    std::int64_t active_slots = 0;
     double lp_value = 0.0;
     int repairs = 0;
     // Which pipeline solved this group (laminar groups keep the 9/5

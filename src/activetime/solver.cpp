@@ -51,6 +51,17 @@ int repair_open_counts(const LaminarForest& forest, FeasibilityOracle& oracle,
 
 NestedSolveResult solve_nested(const Instance& instance,
                                const NestedSolverOptions& options) {
+  return solve_nested(instance, options,
+                      [&](const LaminarForest&, const StrongLp& lp) {
+                        lp::SolveOptions lp_options;
+                        lp_options.cancel = options.cancel;
+                        return lp::solve_auto(lp.model, lp_options);
+                      });
+}
+
+NestedSolveResult solve_nested(const Instance& instance,
+                               const NestedSolverOptions& options,
+                               const StrongLpStep& solve_lp) {
   NestedSolveResult result;
   if (instance.jobs.empty()) return result;
 
@@ -84,9 +95,7 @@ NestedSolveResult solve_nested(const Instance& instance,
   }();
   lp::Solution lps = [&] {
     obs::Span span("solve_nested/lp_solve");
-    lp::SolveOptions lp_options;
-    lp_options.cancel = options.cancel;
-    return lp::solve_auto(lp.model, lp_options);
+    return solve_lp(forest, lp);
   }();
   NAT_CHECK_MSG(lps.status == lp::Status::kOptimal,
                 "strong LP did not solve: " << lp::to_string(lps.status));

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "activetime/general.hpp"
@@ -52,16 +53,30 @@ struct NestedSolveResult {
 };
 
 /// Solves a laminar instance. NAT_CHECKs laminarity and feasibility
-/// (the instance must fit when every slot is open).
+/// (the instance must fit when every slot is open). LP (1) is solved
+/// cold by lp::solve_auto.
 NestedSolveResult solve_nested(const Instance& instance,
                                const NestedSolverOptions& options = {});
+
+/// The LP (1) step of solve_nested: solves the strengthened LP built
+/// over the (canonical) forest.
+using StrongLpStep =
+    std::function<lp::Solution(const LaminarForest&, const StrongLp&)>;
+
+/// solve_nested with the caller's LP (1) step; every other stage — the
+/// precheck, push-down, Algorithm 1, repair, trim, extraction and the
+/// verify hooks — is the same. The incremental session (session.hpp)
+/// passes its warm, canonicalizing step here.
+NestedSolveResult solve_nested(const Instance& instance,
+                               const NestedSolverOptions& options,
+                               const StrongLpStep& solve_lp);
 
 class FeasibilityOracle;
 
 /// Opens additional region slots until `counts` is flow-feasible.
 /// Only ever triggered by floating-point slack in the LP; returns the
-/// number of increments. Shared by solve_nested and the incremental
-/// session (activetime/session.*).
+/// number of increments. solve_nested's repair stage, public so the
+/// end-to-end benchmark's layer replay (bench_e2e/) can time it alone.
 int repair_open_counts(const LaminarForest& forest, FeasibilityOracle& oracle,
                        std::vector<Time>& counts);
 

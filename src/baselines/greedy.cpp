@@ -1,11 +1,11 @@
 #include "baselines/greedy.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "activetime/feasibility.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "util/cancel.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -29,16 +29,23 @@ GreedyResult greedy_minimal_feasible(const Instance& instance,
   obs::Span span_total("greedy_minimal_feasible");
   instance.validate();
   // Candidate slots: union of job windows.
-  std::vector<Time> open;
+  std::vector<Time> slots;
   for (const Job& job : instance.jobs) {
-    for (Time t = job.release; t < job.deadline; ++t) open.push_back(t);
+    for (Time t = job.release; t < job.deadline; ++t) slots.push_back(t);
   }
-  std::sort(open.begin(), open.end());
-  open.erase(std::unique(open.begin(), open.end()), open.end());
-  NAT_CHECK_MSG(feasible_with_slots(instance, open),
-                "greedy: instance is infeasible");
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  const int S = static_cast<int>(slots.size());
+  // One warm network for the whole scan: closing a slot retunes its
+  // sink capacity to 0 and the next query augments from the retained
+  // flow instead of solving from zero.
+  SlotOracle oracle(instance, slots, cancel);
+  for (int k = 0; k < S; ++k) oracle.set_open(k, true);
+  NAT_CHECK_MSG(oracle.feasible(), "greedy: instance is infeasible");
 
-  std::vector<Time> scan = open;
+  // Scan order, as indices into `slots`.
+  std::vector<int> scan(static_cast<std::size_t>(S));
+  std::iota(scan.begin(), scan.end(), 0);
   switch (order) {
     case DeactivationOrder::kLeftToRight:
       break;
@@ -65,9 +72,9 @@ GreedyResult greedy_minimal_feasible(const Instance& instance,
         }
         return d;
       };
-      std::vector<std::pair<std::int64_t, Time>> keyed;
+      std::vector<std::pair<std::int64_t, int>> keyed;
       keyed.reserve(scan.size());
-      for (Time t : scan) keyed.push_back({density(t), t});
+      for (int k : scan) keyed.push_back({density(slots[k]), k});
       std::stable_sort(keyed.begin(), keyed.end(),
                        [order](const auto& a, const auto& b) {
                          return order == DeactivationOrder::kSparsestFirst
@@ -79,30 +86,18 @@ GreedyResult greedy_minimal_feasible(const Instance& instance,
     }
   }
 
-  std::int64_t closed = 0;
-  {
+  const int closed = [&] {
     obs::Span span("greedy_minimal_feasible/deactivation");
-    for (Time t : scan) {
-      util::poll_cancel(cancel);
-      std::vector<Time> without;
-      without.reserve(open.size() - 1);
-      for (Time u : open) {
-        if (u != t) without.push_back(u);
-      }
-      if (feasible_with_slots(instance, without)) {
-        open = std::move(without);
-        ++closed;
-      }
-    }
-  }
+    return oracle.close_while_feasible(scan);
+  }();
+  GreedyResult result;
+  result.open_slots = oracle.open_slots();
   static obs::Counter& c_closed = obs::counter("baselines.greedy.closed");
   static obs::Counter& c_kept = obs::counter("baselines.greedy.kept");
   c_closed.add(closed);
-  c_kept.add(static_cast<std::int64_t>(open.size()));
+  c_kept.add(static_cast<std::int64_t>(result.open_slots.size()));
 
-  GreedyResult result;
-  result.open_slots = open;
-  auto sched = schedule_with_slots(instance, open);
+  auto sched = schedule_with_slots(instance, result.open_slots);
   NAT_CHECK(sched.has_value());
   result.schedule = std::move(*sched);
   result.active_slots = result.schedule.active_slots();

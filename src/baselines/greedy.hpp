@@ -39,8 +39,8 @@ struct GreedyResult {
 
 /// Runs greedy deactivation. NAT_CHECKs that the instance is feasible.
 /// `seed` is used only by kRandom. The deactivation scan runs one flow
-/// test per candidate slot — on wide instances that is the dominant
-/// cost — so it polls `cancel` (util/cancel.hpp) before every test.
+/// test per candidate slot on one warm SlotOracle (feasibility.hpp),
+/// and polls `cancel` (util/cancel.hpp) before every test.
 GreedyResult greedy_minimal_feasible(
     const Instance& instance,
     DeactivationOrder order = DeactivationOrder::kRightToLeft,

@@ -265,12 +265,14 @@ obs::Json Daemon::handle_tenant_op(std::uint64_t seq, const std::string& tenant,
     if (const obs::Json* q = parsed.find("max_queue_depth")) {
       NAT_CHECK_MSG(q->is_number(),
                     "tenant line: \"max_queue_depth\" must be a number");
-      config.max_queue_depth = static_cast<int>(q->as_int());
+      config.max_queue_depth = service::narrow_int(
+          q->as_int(), "tenant line: \"max_queue_depth\"");
     }
     if (const obs::Json* f = parsed.find("max_in_flight")) {
       NAT_CHECK_MSG(f->is_number(),
                     "tenant line: \"max_in_flight\" must be a number");
-      config.max_in_flight = static_cast<int>(f->as_int());
+      config.max_in_flight = service::narrow_int(
+          f->as_int(), "tenant line: \"max_in_flight\"");
     }
     fair_queue_.configure_tenant(tenant, config);  // validates ranges
     j["status"] = "ok";

@@ -29,6 +29,22 @@ const char* to_string(CellStatus status) {
   return "?";
 }
 
+bool parse_job_row(const obs::Json& row, at::Job* job) {
+  bool ok = row.is_array() && (row.size() == 3 || row.size() == 5);
+  for (std::size_t f = 0; ok && f < row.size(); ++f) {
+    ok = row.at(f).is_number();
+  }
+  if (!ok) return false;
+  job->release = row.at(0).as_int();
+  job->deadline = row.at(1).as_int();
+  job->processing = row.at(2).as_int();
+  if (row.size() == 5) {
+    job->processing_lo = row.at(3).as_int();
+    job->processing_hi = row.at(4).as_int();
+  }
+  return true;
+}
+
 at::Instance parse_json_instance(const std::string& text) {
   const obs::Json j = obs::Json::parse(text);
   NAT_CHECK_MSG(j.is_object(), "cell payload is not a JSON object");
@@ -47,23 +63,12 @@ at::Instance parse_json_instance(const std::string& text) {
   instance.g = g->as_int();
   instance.jobs.reserve(jobs->size());
   for (std::size_t k = 0; k < jobs->size(); ++k) {
-    const obs::Json& row = jobs->at(k);
-    bool ok = row.is_array() && (row.size() == 3 || row.size() == 5);
-    for (std::size_t f = 0; ok && f < row.size(); ++f) {
-      ok = row.at(f).is_number();
-    }
+    at::Job job;
+    const bool ok = parse_job_row(jobs->at(k), &job);
     NAT_CHECK_MSG(ok, "cell payload: job "
                           << k
                           << " must be [release, deadline, processing] or "
                              "[release, deadline, processing, p_lo, p_hi]");
-    at::Job job;
-    job.release = row.at(0).as_int();
-    job.deadline = row.at(1).as_int();
-    job.processing = row.at(2).as_int();
-    if (row.size() == 5) {
-      job.processing_lo = row.at(3).as_int();
-      job.processing_hi = row.at(4).as_int();
-    }
     instance.jobs.push_back(job);
   }
   return instance;
@@ -175,8 +180,6 @@ CellResult solve_cell(const BatchItem& item, int index,
   try {
     if (options.robust) {
       at::RobustSolverOptions robust;
-      robust.base.nested = options.nested;
-      robust.base.general = options.general;
       robust.cancel = cancel;
       const at::RobustSolveResult res = at::solve_robust(instance, robust);
       r.solver = to_string(res.nominal.backend);
@@ -187,8 +190,6 @@ CellResult solve_cell(const BatchItem& item, int index,
       r.robust_hi = res.robust_hi;
     } else if (solver == "auto") {
       at::ActiveTimeOptions dispatch;
-      dispatch.nested = options.nested;
-      dispatch.general = options.general;
       dispatch.cancel = cancel;
       const at::ActiveTimeResult res = at::solve_active_time(instance,
                                                              dispatch);
@@ -197,14 +198,14 @@ CellResult solve_cell(const BatchItem& item, int index,
       r.active_slots = res.active_slots;
       r.lp_value = res.lp_value;
     } else if (solver == "nested") {
-      at::NestedSolverOptions nested = options.nested;
+      at::NestedSolverOptions nested;
       nested.cancel = cancel;
       const at::NestedSolveResult res = at::solve_nested(instance, nested);
       r.backend = "nested";
       r.active_slots = res.active_slots;
       r.lp_value = res.lp_value;
     } else if (solver == "general") {
-      at::GeneralSolverOptions general = options.general;
+      at::GeneralSolverOptions general;
       general.cancel = cancel;
       const at::GeneralSolveResult res = at::solve_general(instance, general);
       r.backend = res.lp_failed ? "greedy" : "general";

@@ -94,10 +94,6 @@ struct BatchOptions {
   // When false, the first non-solved cell marks every cell that has
   // not started yet as kSkipped (cells already running finish).
   bool keep_going = true;
-  // Base options for the nested solver (per-cell cancel is overlaid).
-  at::NestedSolverOptions nested;
-  // Base options for the general 2-approx solver (same overlay).
-  at::GeneralSolverOptions general;
   // Robust interval-time mode (docs/ROBUST.md): every cell routes
   // through at::solve_robust, records gain robust_lo / robust_hi, and
   // a worst-case-infeasible box fails its cell with the usual
@@ -144,6 +140,14 @@ CellResult solve_cell(const BatchItem& item, int index,
 /// rows may also be 5-element [r, d, p, p_lo, p_hi] interval jobs.
 /// Throws util::CheckError on malformed input.
 at::Instance parse_json_instance(const std::string& text);
+
+/// Reads one JSON job row — [release, deadline, processing] or
+/// [release, deadline, processing, p_lo, p_hi] — into *job. Returns
+/// false when the row has another shape or a non-numeric entry, so
+/// each caller words its own error; a non-integer number throws
+/// util::CheckError from obs::Json::as_int. Shared by cell payloads and
+/// the session protocol's "add" deltas.
+bool parse_job_row(const obs::Json& row, at::Job* job);
 
 /// One cell record as a Json object (docs/SERVICE.md schema). The
 /// daemon layers its envelope fields (tenant, queue/solve timings) on

@@ -1,8 +1,10 @@
 #include "service/jsonl.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 
+#include "util/check.hpp"
 #include "verify/verify.hpp"
 
 namespace nat::service {
@@ -27,6 +29,13 @@ void write_jsonl_record(std::ostream& out, const obs::Json& record) {
 
 void write_jsonl_record(std::ostream& out, const std::string& dumped) {
   out << dumped << '\n' << std::flush;
+}
+
+int narrow_int(std::int64_t value, const char* field) {
+  NAT_CHECK_MSG(value >= std::numeric_limits<int>::min() &&
+                    value <= std::numeric_limits<int>::max(),
+                field << " " << value << " is outside the int range");
+  return static_cast<int>(value);
 }
 
 std::string classify_solver_failure(const std::string& what) {

@@ -16,6 +16,7 @@
 // class means the same thing no matter which protocol produced it.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -36,6 +37,10 @@ void write_jsonl_record(std::ostream& out, const obs::Json& record);
 
 /// Same framing for a record that is already serialized.
 void write_jsonl_record(std::ostream& out, const std::string& dumped);
+
+/// A wire integer as an int. Throws util::CheckError naming `field`
+/// when the value lies outside the int range, instead of truncating it.
+int narrow_int(std::int64_t value, const char* field);
 
 /// Maps a util::CheckError message to its record class: "infeasible"
 /// for the solver's infeasibility check, otherwise the

@@ -25,7 +25,7 @@ int parse_index(const obs::Json& line) {
   const obs::Json* idx = line.find("index");
   NAT_CHECK_MSG(idx != nullptr && idx->is_number(),
                 "delta line: missing numeric \"index\"");
-  return static_cast<int>(idx->as_int());
+  return narrow_int(idx->as_int(), "delta line: \"index\"");
 }
 
 /// Clears a per-op cancel token off the session on every exit path, so
@@ -45,23 +45,12 @@ at::Delta parse_delta(const obs::Json& line) {
   const std::string& k = kind->as_string();
   if (k == "add") {
     const obs::Json* j = line.find("job");
-    bool ok = j != nullptr && j->is_array() && (j->size() == 3 ||
-                                                j->size() == 5);
-    for (std::size_t f = 0; ok && f < j->size(); ++f) {
-      ok = j->at(f).is_number();
-    }
+    at::Job job;
+    const bool ok = j != nullptr && parse_job_row(*j, &job);
     NAT_CHECK_MSG(ok,
                   "delta line: \"job\" must be [release, deadline, "
                   "processing] or [release, deadline, processing, p_lo, "
                   "p_hi]");
-    at::Job job;
-    job.release = j->at(0).as_int();
-    job.deadline = j->at(1).as_int();
-    job.processing = j->at(2).as_int();
-    if (j->size() == 5) {
-      job.processing_lo = j->at(3).as_int();
-      job.processing_hi = j->at(4).as_int();
-    }
     return at::AddJob{job};
   }
   if (k == "remove") return at::RemoveJob{parse_index(line)};

@@ -412,6 +412,34 @@ TEST(Daemon, TenantOpConfiguresAndValidates) {
   EXPECT_EQ(field(bad, "failure_class"), "input:validate");
 }
 
+// Tenant caps arrive as JSON int64. Values outside the int range must be
+// rejected, not truncated: 2^32 + 1 would become a cap of 1.
+TEST(Daemon, TenantCapsOutsideIntRangeAreRejected) {
+  Collector out;
+  DaemonOptions options;
+  options.threads = 1;
+  options.sink = out.sink();
+  Daemon daemon(options);
+
+  EXPECT_TRUE(daemon.submit_line(
+      R"({"op":"tenant","tenant":"t","max_in_flight":4294967297,)"
+      R"("max_queue_depth":4294967298})"));
+  const obs::Json wide = out.find_index(0);
+  EXPECT_EQ(field(wide, "status"), "error");
+  EXPECT_EQ(field(wide, "failure_class"), "input:validate");
+
+  EXPECT_TRUE(daemon.submit_line(
+      R"({"op":"tenant","tenant":"t","max_queue_depth":-4294967295})"));
+  EXPECT_EQ(field(out.find_index(1), "failure_class"), "input:validate");
+
+  // The rejected ops left the tenant on its defaults.
+  EXPECT_TRUE(
+      daemon.submit_line(R"({"op":"tenant","tenant":"t","weight":2})"));
+  const obs::Json ok = out.find_index(2);
+  EXPECT_EQ(field(ok, "status"), "ok");
+  EXPECT_EQ(ok.find("max_in_flight")->as_int(), 1);
+}
+
 TEST(Daemon, StatsRecordRoundTrips) {
   Collector out;
   DaemonOptions options;

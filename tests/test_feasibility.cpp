@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "helpers.hpp"
+#include "instances/generators.hpp"
 #include "util/rng.hpp"
 
 namespace nat::at {
@@ -89,6 +90,52 @@ TEST(SlotFeasibility, WideHorizonManyJobsDoesNotOverflowIndexing) {
     tight.jobs[static_cast<std::size_t>(j)].deadline = 4;
   }
   EXPECT_FALSE(feasible_with_slots(tight, all));
+}
+
+// The warm SlotOracle against fresh one-shot networks: random open /
+// close toggles on crossing-window instances. Closing an open slot
+// cancels its flow through set_capacity, which the greedy deactivation
+// scan depends on; after every query the warm answer must equal a fresh
+// solve over the same open set, and a feasible answer's retained flow
+// must still be a valid schedule.
+TEST(SlotOracle, WarmTogglesMatchFreshNetworks) {
+  int feasible_queries = 0, infeasible_queries = 0;
+  for (int seed = 0; seed < 30; ++seed) {
+    gen::RandomGeneralParams params;
+    params.g = 1 + seed % 3;
+    params.jobs = 6 + seed % 7;
+    Rng rng(9100 + seed);
+    const Instance inst = gen::random_general(params, rng);
+    const Interval h = inst.horizon();
+    std::vector<Time> slots;
+    for (Time t = h.lo; t < h.hi; ++t) slots.push_back(t);
+    SlotOracle oracle(inst, slots);
+    for (int k = 0; k < oracle.num_slots(); ++k) oracle.set_open(k, true);
+    for (int step = 0; step < 60; ++step) {
+      const int k =
+          static_cast<int>(rng.uniform_int(0, oracle.num_slots() - 1));
+      oracle.set_open(k, !oracle.is_open(k));
+      const bool warm = oracle.feasible();
+      ASSERT_EQ(warm, feasible_with_slots(inst, oracle.open_slots()))
+          << "seed " << seed << " step " << step;
+      if (!warm) {
+        ++infeasible_queries;
+        continue;
+      }
+      ++feasible_queries;
+      const Schedule sched = oracle.schedule();
+      validate_schedule(inst, sched);
+      const std::vector<Time> open = oracle.open_slots();
+      for (const auto& job_slots : sched.assignment) {
+        for (Time t : job_slots) {
+          EXPECT_TRUE(std::binary_search(open.begin(), open.end(), t));
+        }
+      }
+    }
+  }
+  // The walk must visit both answers many times.
+  EXPECT_GT(feasible_queries, 100);
+  EXPECT_GT(infeasible_queries, 100);
 }
 
 TEST(RegionFeasibility, MatchesSlotLevelOnMaterializedSlots) {

@@ -312,6 +312,26 @@ TEST(Service, RobustBatchEmitsSandwichFields) {
   EXPECT_EQ(pj.find("robust_hi"), nullptr);
 }
 
+// A crossing-window box whose nominal fits but whose p_hi corner does
+// not: the corner solve's own all-open precheck (the slot-level one,
+// since the windows cross) classifies the cell as infeasible.
+TEST(Service, RobustCrossingBoxWithInfeasibleWorstCorner) {
+  // g=1; at p_hi both jobs fill their 3-slot windows, which share slot 2.
+  const std::string text =
+      R"({"g": 1, "jobs": [[0, 3, 2, 2, 3], [2, 5, 2, 2, 3]]})";
+  const CellResult nominal =
+      solve_cell(json_item("c", text), 0, BatchOptions{});
+  EXPECT_EQ(nominal.status, CellStatus::kSolved) << nominal.error;
+  EXPECT_EQ(nominal.backend, "general");
+
+  BatchOptions options;
+  options.robust = true;
+  const CellResult robust = solve_cell(json_item("c", text), 1, options);
+  EXPECT_EQ(robust.status, CellStatus::kError);
+  EXPECT_EQ(robust.failure_class, "infeasible") << robust.error;
+  EXPECT_EQ(robust.solver, "general");
+}
+
 // Robust mode owns per-corner dispatch, so a forced solver is a
 // structured input error, not a silent downgrade.
 TEST(Service, RobustBatchRequiresAutoSolver) {
@@ -428,6 +448,29 @@ TEST(Sessions, FaultBoundaryKeepsSessionUsable) {
       R"({"op":"delta","session":"s","kind":"extend","index":0,"window":[0,5]})",
       5);
   EXPECT_EQ(r.status, CellStatus::kSolved) << r.error;
+}
+
+// Delta indices arrive as JSON int64. One that does not fit an int is
+// an input error, not truncated: 2^32 would remove job 0.
+TEST(Sessions, OutOfIntRangeIndexIsInputParse) {
+  SessionManager manager;
+  const SessionOpResult open = manager.process_line(
+      R"({"op":"open","session":"s","g":1,"jobs":[[0,4,2],[4,8,1]]})", 0);
+  ASSERT_EQ(open.status, CellStatus::kSolved) << open.error;
+  for (const char* index : {"4294967296", "-4294967296", "2147483648",
+                            "9223372036854775807"}) {
+    const SessionOpResult r = manager.process_line(
+        std::string(R"({"op":"delta","session":"s","kind":"remove","index":)") +
+            index + "}",
+        1);
+    EXPECT_EQ(r.status, CellStatus::kError) << index;
+    EXPECT_EQ(r.failure_class, "input:parse") << index;
+  }
+  // Nothing was removed: the next op still sees both jobs.
+  const SessionOpResult r = manager.process_line(
+      R"({"op":"delta","session":"s","kind":"remove","index":1})", 2);
+  EXPECT_EQ(r.status, CellStatus::kSolved) << r.error;
+  EXPECT_EQ(r.jobs, 1);
 }
 
 TEST(Sessions, TaxonomyClassesForProtocolMisuse) {

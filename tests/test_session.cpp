@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "activetime/feasibility.hpp"
@@ -349,6 +351,56 @@ TEST(Session, RetimeDeltaWidensNarrowsAndClears) {
   session.apply(Retime{0, 0, 0});
   EXPECT_FALSE(session.instance().has_processing_intervals());
   EXPECT_EQ(session.solve().schedule.assignment, before.schedule.assignment);
+}
+
+// Laminar groups run through solve_nested, so NAT_VERIFY reaches them:
+// under full verification every group solve re-certifies its LP,
+// push-down, rounding and schedule in exact arithmetic.
+TEST(Session, FullVerificationCertifiesGroupSolves) {
+  // resolve_level reads NAT_VERIFY on every call; restore it on exit.
+  struct EnvGuard {
+    std::optional<std::string> saved;
+    EnvGuard() {
+      if (const char* v = std::getenv("NAT_VERIFY")) saved = v;
+      ::setenv("NAT_VERIFY", "full", 1);
+    }
+    ~EnvGuard() {
+      if (saved) {
+        ::setenv("NAT_VERIFY", saved->c_str(), 1);
+      } else {
+        ::unsetenv("NAT_VERIFY");
+      }
+    }
+  };
+  const char* const stages[] = {"lp", "push_down", "rounding", "schedule"};
+  const auto stage_counts = [&] {
+    std::vector<std::int64_t> out;
+    for (const char* stage : stages) {
+      out.push_back(
+          obs::counter(std::string("at.verify.stage.") + stage).value());
+    }
+    return out;
+  };
+
+  const EnvGuard env;
+  SolverSession session(make_rolling(3, 5, 2));
+  const std::int64_t groups =
+      static_cast<std::int64_t>(window_groups(session.instance()).size());
+  const std::vector<std::int64_t> before = stage_counts();
+  session.solve();
+  const std::vector<std::int64_t> after = stage_counts();
+  for (std::size_t s = 0; s < after.size(); ++s) {
+    EXPECT_GE(after[s] - before[s], groups) << stages[s];
+  }
+
+  // A delta re-solves its dirty group under the same checks.
+  const Job j = session.instance().jobs[0];
+  session.apply(AddJob{Job{j.release, j.deadline, 1}});
+  const std::vector<std::int64_t> delta = stage_counts();
+  for (std::size_t s = 0; s < delta.size(); ++s) {
+    EXPECT_GT(delta[s], after[s]) << stages[s];
+  }
+  expect_matches_scratch(session);
 }
 
 TEST(Session, NonLaminarDeltaDispatchesToGeneral) {

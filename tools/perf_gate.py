@@ -93,9 +93,10 @@ DOC_FLOORS = [
 # guarantee (docs/GENERAL.md) — this is a correctness ceiling, checked
 # on any hardware.
 GENERAL_APPROX_BOUND = 2.0
-# The robust pipeline runs a worst-case feasibility flow, a lo-corner
-# LP, and a hi-corner solve on top of the nominal solve, so its wall
-# clock sits near 3x the point solver's (docs/ROBUST.md). A ratio above
+# The robust pipeline runs a hi-corner solve (whose precheck is the
+# worst-case feasibility flow) and a lo-corner LP on top of the nominal
+# solve, so its wall clock sits near 3x the point solver's
+# (docs/ROBUST.md). A ratio above
 # ROBUST_OVERHEAD_BOUND means an accidental extra solve or a lost warm
 # path; the ratio is hardware-relative, so it is checked on any host.
 ROBUST_OVERHEAD_BOUND = 4.5
