@@ -11,11 +11,18 @@
 // in the Bartels–Golub tradition: one eta per pivot, periodic
 // refactorization from the basis columns with partial pivoting), so one
 // iteration costs
-//   BTRAN + pricing       O(nnz(eta file) + nnz(A))
-//   FTRAN + ratio test    O(nnz(eta file) + rows)
+//   BTRAN                 O(nnz(eta file) + rows)
+//   pricing               O(rows + nnz(rows whose dual changed)
+//                           + entering candidates)
+//   FTRAN                 O(nnz(eta file) + rows)
+//   ratio test + update   O(nonzeros of the FTRAN'd column)
 // instead of the dense tableau's O(rows · cols) elimination, plus one
 //   re-inversion          O(nnz(B) + fill)
-// per refactorization (formerly Θ(rows²)). Re-inversion is hypersparse:
+// per refactorization (formerly Θ(rows²)). Pricing is incremental: a
+// row-wise index of the matrix finds the columns that meet a row whose
+// dual changed bits since the last iteration, and only those reduced
+// costs are recomputed, with the expression a full scan uses, so every
+// pivot is the one a full scan would pick. Re-inversion is hypersparse:
 // each basis column is scattered into a zeroed work vector and only the
 // etas whose pivot row it touches are applied. The eta file stays
 // bit-identical to a dense FTRAN + scan because the etas run in file
@@ -28,7 +35,8 @@
 // variables sit at either bound, the ratio test can end in a bound flip
 // without a pivot, and no `x <= u` rows are materialized. Pricing is
 // Dantzig with a permanent Bland fallback after a stall threshold
-// (finite termination on degenerate/cycling-prone LPs). Differentially
+// (finite termination on degenerate/cycling-prone LPs); debug builds
+// check every incremental pricing step against a full scan. Differentially
 // tested against the dense tableau and the exact rational simplex on
 // the LP corpus and random sweeps (tests/test_sparse_simplex.cpp).
 //
@@ -66,6 +74,7 @@ struct SparseStats {
   std::int64_t degenerate = 0;
   std::int64_t refactorizations = 0;
   std::int64_t eta_nonzeros = 0;  // eta-file size at termination
+  std::int64_t priced = 0;        // reduced costs computed by pricing
   // Warm-start ladder (solve_sparse_warm; all zero on cold solves).
   std::int64_t warm_hit = 0;       // imported basis was still optimal
   std::int64_t warm_repair = 0;    // warm path succeeded after pivots
