@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <sstream>
 
 #include "activetime/opt_bounds.hpp"
 #include "util/check.hpp"
@@ -50,10 +49,8 @@ StrongLp build_strong_lp(const LaminarForest& forest,
   // variable bound).
   out.x_var.resize(m);
   for (int i = 0; i < m; ++i) {
-    std::ostringstream name;
-    name << "x_" << i;
     out.x_var[i] = out.model.add_variable(
-        name.str(), 0.0, static_cast<double>(forest.node(i).length()), 1.0);
+        0.0, static_cast<double>(forest.node(i).length()), 1.0);
   }
 
   // Y(i, c) >= 0 for i ∈ Des(k(c)); coverage rows (2) per class.
@@ -65,9 +62,7 @@ StrongLp build_strong_lp(const LaminarForest& forest,
     std::vector<std::pair<int, double>> coverage;
     for (int i : forest.subtree(cls.node)) {
       if (forest.node(i).length() == 0) continue;  // x(i) forced to 0
-      std::ostringstream name;
-      name << "y_" << i << "_c" << c;
-      int v = out.model.add_variable(name.str(), 0.0, lp::kInf, 0.0);
+      int v = out.model.add_variable(0.0, lp::kInf, 0.0);
       out.y_vars[c].push_back({i, v});
       coverage.push_back({v, 1.0});
       capacity[i].push_back({v, 1.0});

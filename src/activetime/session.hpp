@@ -13,7 +13,7 @@
 // groups, caches each group's solve keyed by its content, and after a
 // delta re-solves only groups whose content changed — warm-starting the
 // dirty group's LP from the displaced group's exported basis, mapped
-// across models by content descriptors.
+// across models by 64-bit variable content keys.
 //
 // A laminar group runs through solve_nested (solver.hpp) — the same
 // precheck, push-down, Algorithm 1, repair, extraction, NAT_VERIFY
@@ -138,8 +138,8 @@ class SolverSession {
     // path and its warm-basis machinery; crossing groups dispatch to
     // solve_general and export no basis).
     Backend backend = Backend::kNested;
-    lp::Basis basis;                     // exported optimal basis
-    std::vector<std::string> var_keys;   // content key per LP variable
+    lp::Basis basis;                      // exported optimal basis
+    std::vector<std::uint64_t> var_keys;  // content key per LP variable
   };
 
   void resolve();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 
 #include "lp/backend.hpp"
 #include "util/check.hpp"
@@ -29,9 +28,7 @@ TimeIndexedLp build_time_indexed_lp(const Instance& instance,
   // x(t) in [0, 1].
   out.x_var.resize(T);
   for (int k = 0; k < T; ++k) {
-    std::ostringstream name;
-    name << "x_t" << out.slots[k];
-    out.x_var[k] = out.model.add_variable(name.str(), 0.0, 1.0, 1.0);
+    out.x_var[k] = out.model.add_variable(0.0, 1.0, 1.0);
   }
 
   // Symmetric job classes by (window, processing).
@@ -47,7 +44,6 @@ TimeIndexedLp build_time_indexed_lp(const Instance& instance,
   }
 
   std::vector<std::vector<std::pair<int, double>>> capacity(T);
-  int cls_id = 0;
   for (const auto& [key, cls] : classes) {
     (void)key;
     TimeIndexedClass out_cls;
@@ -56,9 +52,7 @@ TimeIndexedLp build_time_indexed_lp(const Instance& instance,
     std::vector<std::pair<int, double>> coverage;
     for (int k = 0; k < T; ++k) {
       if (!cls.job.window().contains(out.slots[k])) continue;
-      std::ostringstream name;
-      name << "y_t" << out.slots[k] << "_c" << cls_id;
-      int v = out.model.add_variable(name.str(), 0.0, lp::kInf, 0.0);
+      int v = out.model.add_variable(0.0, lp::kInf, 0.0);
       out_cls.y_vars.push_back({k, v});
       coverage.push_back({v, 1.0});
       capacity[k].push_back({v, 1.0});
@@ -72,7 +66,6 @@ TimeIndexedLp build_time_indexed_lp(const Instance& instance,
                           static_cast<double>(cls.job.processing),
                       std::move(coverage));
     out.classes.push_back(std::move(out_cls));
-    ++cls_id;
   }
   for (int k = 0; k < T; ++k) {
     if (capacity[k].empty()) continue;

@@ -112,7 +112,7 @@ Solution solve_split(const Model& model, const SolveOptions& options) {
     Model sub;
     for (int v : block.vars) {
       const Variable& var = model.variable(v);
-      local[v] = sub.add_variable({}, var.lower, var.upper, var.objective);
+      local[v] = sub.add_variable(var.lower, var.upper, var.objective);
     }
     for (int r : block.rows) {
       const Row& row = model.row(r);

@@ -7,16 +7,15 @@
 
 namespace nat::lp {
 
-int Model::add_variable(std::string name, double lower, double upper,
-                        double objective) {
-  NAT_CHECK_MSG(lower <= upper,
-                "variable '" << name << "': lower " << lower << " > upper "
-                             << upper);
+int Model::add_variable(double lower, double upper, double objective) {
+  const int index = num_variables();
+  NAT_CHECK_MSG(lower <= upper, "variable " << index << ": lower " << lower
+                                            << " > upper " << upper);
   NAT_CHECK_MSG(!std::isnan(lower) && !std::isnan(upper) &&
                     std::isfinite(objective),
-                "variable '" << name << "': bad bounds/objective");
-  vars_.push_back(Variable{std::move(name), lower, upper, objective});
-  return static_cast<int>(vars_.size()) - 1;
+                "variable " << index << ": bad bounds/objective");
+  vars_.push_back(Variable{lower, upper, objective});
+  return index;
 }
 
 void Model::set_objective(int var, double coeff) {
@@ -35,17 +34,17 @@ void Model::set_variable_bounds(int var, double lower, double upper) {
 }
 
 int Model::add_row(Sense sense, double rhs,
-                   std::vector<std::pair<int, double>> coeffs,
-                   std::string name) {
-  NAT_CHECK_MSG(std::isfinite(rhs), "row '" << name << "': non-finite rhs");
+                   std::vector<std::pair<int, double>> coeffs) {
+  const int index = num_rows();
+  NAT_CHECK_MSG(std::isfinite(rhs), "row " << index << ": non-finite rhs");
   for (const auto& [var, coeff] : coeffs) {
     NAT_CHECK_MSG(var >= 0 && var < num_variables(),
-                  "row '" << name << "': bad variable index " << var);
+                  "row " << index << ": bad variable index " << var);
     NAT_CHECK_MSG(std::isfinite(coeff),
-                  "row '" << name << "': non-finite coefficient");
+                  "row " << index << ": non-finite coefficient");
   }
-  rows_.push_back(Row{std::move(name), sense, rhs, std::move(coeffs)});
-  return static_cast<int>(rows_.size()) - 1;
+  rows_.push_back(Row{sense, rhs, std::move(coeffs)});
+  return index;
 }
 
 double Model::objective_value(const std::vector<double>& x) const {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,14 +19,12 @@ inline constexpr double kInf = std::numeric_limits<double>::infinity();
 enum class Sense { kLe, kGe, kEq };
 
 struct Variable {
-  std::string name;
   double lower = 0.0;
   double upper = kInf;
   double objective = 0.0;
 };
 
 struct Row {
-  std::string name;
   Sense sense = Sense::kLe;
   double rhs = 0.0;
   // (variable index, coefficient); indices must be valid, coefficients
@@ -38,7 +35,7 @@ struct Row {
 class Model {
  public:
   /// Adds a variable and returns its index.
-  int add_variable(std::string name, double lower = 0.0, double upper = kInf,
+  int add_variable(double lower = 0.0, double upper = kInf,
                    double objective = 0.0);
 
   /// Sets (overwrites) the objective coefficient of a variable.
@@ -50,8 +47,7 @@ class Model {
 
   /// Adds a row and returns its index.
   int add_row(Sense sense, double rhs,
-              std::vector<std::pair<int, double>> coeffs,
-              std::string name = {});
+              std::vector<std::pair<int, double>> coeffs);
 
   int num_variables() const { return static_cast<int>(vars_.size()); }
   int num_rows() const { return static_cast<int>(rows_.size()); }

@@ -15,8 +15,8 @@ using util::Rng;
 
 TEST(Model, RejectsBadInput) {
   Model m;
-  EXPECT_THROW(m.add_variable("x", 2.0, 1.0), util::CheckError);  // lo > hi
-  int x = m.add_variable("x");
+  EXPECT_THROW(m.add_variable(2.0, 1.0), util::CheckError);  // lo > hi
+  int x = m.add_variable();
   EXPECT_THROW(m.add_row(Sense::kLe, 1.0, {{5, 1.0}}), util::CheckError);
   EXPECT_THROW(m.set_objective(3, 1.0), util::CheckError);
   (void)x;
@@ -25,7 +25,7 @@ TEST(Model, RejectsBadInput) {
 TEST(Simplex, TrivialBoundedMinimum) {
   // min x st x >= 3
   Model m;
-  int x = m.add_variable("x", 0.0, kInf, 1.0);
+  int x = m.add_variable(0.0, kInf, 1.0);
   m.add_row(Sense::kGe, 3.0, {{x, 1.0}});
   Solution s = solve(m);
   ASSERT_EQ(s.status, Status::kOptimal);
@@ -36,8 +36,8 @@ TEST(Simplex, TrivialBoundedMinimum) {
 TEST(Simplex, TextbookTwoVariable) {
   // min -x - 2y st x + y <= 4, x + 3y <= 6; opt at (3,1): -5.
   Model m;
-  int x = m.add_variable("x", 0.0, kInf, -1.0);
-  int y = m.add_variable("y", 0.0, kInf, -2.0);
+  int x = m.add_variable(0.0, kInf, -1.0);
+  int y = m.add_variable(0.0, kInf, -2.0);
   m.add_row(Sense::kLe, 4.0, {{x, 1.0}, {y, 1.0}});
   m.add_row(Sense::kLe, 6.0, {{x, 1.0}, {y, 3.0}});
   Solution s = solve(m);
@@ -50,8 +50,8 @@ TEST(Simplex, TextbookTwoVariable) {
 TEST(Simplex, EqualityConstraints) {
   // min x + y st x + 2y = 4, x - y = 1 -> x = 2, y = 1.
   Model m;
-  int x = m.add_variable("x", 0.0, kInf, 1.0);
-  int y = m.add_variable("y", 0.0, kInf, 1.0);
+  int x = m.add_variable(0.0, kInf, 1.0);
+  int y = m.add_variable(0.0, kInf, 1.0);
   m.add_row(Sense::kEq, 4.0, {{x, 1.0}, {y, 2.0}});
   m.add_row(Sense::kEq, 1.0, {{x, 1.0}, {y, -1.0}});
   Solution s = solve(m);
@@ -62,7 +62,7 @@ TEST(Simplex, EqualityConstraints) {
 
 TEST(Simplex, DetectsInfeasible) {
   Model m;
-  int x = m.add_variable("x", 0.0, kInf, 1.0);
+  int x = m.add_variable(0.0, kInf, 1.0);
   m.add_row(Sense::kGe, 5.0, {{x, 1.0}});
   m.add_row(Sense::kLe, 3.0, {{x, 1.0}});
   EXPECT_EQ(solve(m).status, Status::kInfeasible);
@@ -70,7 +70,7 @@ TEST(Simplex, DetectsInfeasible) {
 
 TEST(Simplex, DetectsUnbounded) {
   Model m;
-  int x = m.add_variable("x", 0.0, kInf, -1.0);  // min -x, x free upward
+  int x = m.add_variable(0.0, kInf, -1.0);  // min -x, x free upward
   m.add_row(Sense::kGe, 0.0, {{x, 1.0}});
   EXPECT_EQ(solve(m).status, Status::kUnbounded);
 }
@@ -78,8 +78,8 @@ TEST(Simplex, DetectsUnbounded) {
 TEST(Simplex, VariableBoundsRespected) {
   // min -x - y with x in [1, 2], y in [0, 3], x + y <= 4.
   Model m;
-  int x = m.add_variable("x", 1.0, 2.0, -1.0);
-  int y = m.add_variable("y", 0.0, 3.0, -1.0);
+  int x = m.add_variable(1.0, 2.0, -1.0);
+  int y = m.add_variable(0.0, 3.0, -1.0);
   m.add_row(Sense::kLe, 4.0, {{x, 1.0}, {y, 1.0}});
   Solution s = solve(m);
   ASSERT_EQ(s.status, Status::kOptimal);
@@ -91,7 +91,7 @@ TEST(Simplex, VariableBoundsRespected) {
 TEST(Simplex, NonzeroLowerBoundShift) {
   // min x with x >= 5 via bound (not row).
   Model m;
-  (void)m.add_variable("x", 5.0, kInf, 1.0);
+  (void)m.add_variable(5.0, kInf, 1.0);
   Solution s = solve(m);
   ASSERT_EQ(s.status, Status::kOptimal);
   EXPECT_NEAR(s.objective, 5.0, 1e-9);
@@ -100,7 +100,7 @@ TEST(Simplex, NonzeroLowerBoundShift) {
 TEST(Simplex, FreeVariableSplit) {
   // min |style|: x free, minimize x st x >= -7 as a row; optimum -7.
   Model m;
-  int x = m.add_variable("x", -kInf, kInf, 1.0);
+  int x = m.add_variable(-kInf, kInf, 1.0);
   m.add_row(Sense::kGe, -7.0, {{x, 1.0}});
   Solution s = solve(m);
   ASSERT_EQ(s.status, Status::kOptimal);
@@ -112,7 +112,7 @@ TEST(Simplex, DegenerateKleeMintyLike) {
   Model m;
   std::vector<int> v;
   for (int i = 0; i < 6; ++i) {
-    v.push_back(m.add_variable("v", 0.0, kInf, -std::pow(2.0, 5 - i)));
+    v.push_back(m.add_variable(0.0, kInf, -std::pow(2.0, 5 - i)));
   }
   for (int i = 0; i < 6; ++i) {
     std::vector<std::pair<int, double>> row;
@@ -128,8 +128,8 @@ TEST(Simplex, DegenerateKleeMintyLike) {
 TEST(Simplex, RedundantEqualityRowsHandled) {
   // Duplicate equalities leave a basic artificial at level 0.
   Model m;
-  int x = m.add_variable("x", 0.0, kInf, 1.0);
-  int y = m.add_variable("y", 0.0, kInf, 1.0);
+  int x = m.add_variable(0.0, kInf, 1.0);
+  int y = m.add_variable(0.0, kInf, 1.0);
   m.add_row(Sense::kEq, 2.0, {{x, 1.0}, {y, 1.0}});
   m.add_row(Sense::kEq, 2.0, {{x, 1.0}, {y, 1.0}});
   m.add_row(Sense::kEq, 4.0, {{x, 2.0}, {y, 2.0}});
@@ -141,8 +141,8 @@ TEST(Simplex, RedundantEqualityRowsHandled) {
 TEST(ExactSimplex, MatchesKnownFractionalOptimum) {
   // min x0+x1 st 2x0+x1 >= 1, x0+3x1 >= 1 -> x=(2/5,1/5), obj 3/5.
   Model m;
-  int a = m.add_variable("a", 0.0, kInf, 1.0);
-  int b = m.add_variable("b", 0.0, kInf, 1.0);
+  int a = m.add_variable(0.0, kInf, 1.0);
+  int b = m.add_variable(0.0, kInf, 1.0);
   m.add_row(Sense::kGe, 1.0, {{a, 2.0}, {b, 1.0}});
   m.add_row(Sense::kGe, 1.0, {{a, 1.0}, {b, 3.0}});
   ExactSolution s = solve_exact(m);
@@ -154,7 +154,7 @@ TEST(ExactSimplex, MatchesKnownFractionalOptimum) {
 
 TEST(ExactSimplex, DetectsInfeasible) {
   Model m;
-  int x = m.add_variable("x", 0.0, 1.0, 1.0);
+  int x = m.add_variable(0.0, 1.0, 1.0);
   m.add_row(Sense::kGe, 2.0, {{x, 1.0}});
   EXPECT_EQ(solve_exact(m).status, Status::kInfeasible);
 }
@@ -174,7 +174,7 @@ TEST_P(RandomLpAgreement, DoubleMatchesExact) {
                           ? static_cast<double>(rng.uniform_int(1, 10))
                           : kInf;
     vars.push_back(m.add_variable(
-        "v", 0.0, ub, static_cast<double>(rng.uniform_int(-4, 5))));
+        0.0, ub, static_cast<double>(rng.uniform_int(-4, 5))));
   }
   for (int r = 0; r < nrows; ++r) {
     std::vector<std::pair<int, double>> row;

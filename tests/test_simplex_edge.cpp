@@ -21,8 +21,8 @@ TEST(SimplexEdge, EmptyModelIsTriviallyOptimal) {
 
 TEST(SimplexEdge, VariablesOnlyNoRows) {
   Model m;
-  int x = m.add_variable("x", 2.0, 5.0, 1.0);
-  int y = m.add_variable("y", 0.0, kInf, -1.0);
+  int x = m.add_variable(2.0, 5.0, 1.0);
+  int y = m.add_variable(0.0, kInf, -1.0);
   m.add_row(Sense::kLe, 7.0, {{y, 1.0}});
   Solution s = solve(m);
   ASSERT_EQ(s.status, Status::kOptimal);
@@ -32,8 +32,8 @@ TEST(SimplexEdge, VariablesOnlyNoRows) {
 
 TEST(SimplexEdge, FixedVariable) {
   Model m;
-  int x = m.add_variable("x", 3.0, 3.0, 1.0);
-  int y = m.add_variable("y", 0.0, kInf, 1.0);
+  int x = m.add_variable(3.0, 3.0, 1.0);
+  int y = m.add_variable(0.0, kInf, 1.0);
   m.add_row(Sense::kGe, 5.0, {{x, 1.0}, {y, 1.0}});
   Solution s = solve(m);
   ASSERT_EQ(s.status, Status::kOptimal);
@@ -44,7 +44,7 @@ TEST(SimplexEdge, FixedVariable) {
 TEST(SimplexEdge, DuplicateCoefficientsAreSummed) {
   // x appears twice in the row: effectively 2x >= 4.
   Model m;
-  int x = m.add_variable("x", 0.0, kInf, 1.0);
+  int x = m.add_variable(0.0, kInf, 1.0);
   m.add_row(Sense::kGe, 4.0, {{x, 1.0}, {x, 1.0}});
   Solution s = solve(m);
   ASSERT_EQ(s.status, Status::kOptimal);
@@ -62,10 +62,10 @@ TEST(SimplexEdge, BealeCyclingExample) {
   // representable as a double and convertible to the rational backend
   // losslessly): objective and constraints x100, optimum -5.
   Model m;
-  int x4 = m.add_variable("x4", 0.0, kInf, -75.0);
-  int x5 = m.add_variable("x5", 0.0, kInf, 15000.0);
-  int x6 = m.add_variable("x6", 0.0, kInf, -2.0);
-  int x7 = m.add_variable("x7", 0.0, kInf, 600.0);
+  int x4 = m.add_variable(0.0, kInf, -75.0);
+  int x5 = m.add_variable(0.0, kInf, 15000.0);
+  int x6 = m.add_variable(0.0, kInf, -2.0);
+  int x7 = m.add_variable(0.0, kInf, 600.0);
   m.add_row(Sense::kLe, 0.0,
             {{x4, 25.0}, {x5, -6000.0}, {x6, -4.0}, {x7, 900.0}});
   m.add_row(Sense::kLe, 0.0,
@@ -83,8 +83,8 @@ TEST(SimplexEdge, BealeCyclingExample) {
 TEST(SimplexEdge, WideRangeOfMagnitudes) {
   // min x + y with 1e6 x + y >= 1e6, x + 1e-3 y >= 1.
   Model m;
-  int x = m.add_variable("x", 0.0, kInf, 1.0);
-  int y = m.add_variable("y", 0.0, kInf, 1.0);
+  int x = m.add_variable(0.0, kInf, 1.0);
+  int y = m.add_variable(0.0, kInf, 1.0);
   m.add_row(Sense::kGe, 1e6, {{x, 1e6}, {y, 1.0}});
   m.add_row(Sense::kGe, 1.0, {{x, 1.0}, {y, 1e-3}});
   Solution s = solve(m);
@@ -95,8 +95,8 @@ TEST(SimplexEdge, WideRangeOfMagnitudes) {
 TEST(SimplexEdge, EqualityOnlySystemWithUniquePoint) {
   // Feasible region is the single point (1, 2); any objective.
   Model m;
-  int x = m.add_variable("x", 0.0, kInf, -5.0);
-  int y = m.add_variable("y", 0.0, kInf, 3.0);
+  int x = m.add_variable(0.0, kInf, -5.0);
+  int y = m.add_variable(0.0, kInf, 3.0);
   m.add_row(Sense::kEq, 3.0, {{x, 1.0}, {y, 1.0}});
   m.add_row(Sense::kEq, 1.0, {{y, 1.0}, {x, -1.0}});
   Solution s = solve(m);
@@ -107,7 +107,7 @@ TEST(SimplexEdge, EqualityOnlySystemWithUniquePoint) {
 
 TEST(SimplexEdge, InfeasibleByBoundsAlone) {
   Model m;
-  int x = m.add_variable("x", 4.0, 10.0, 1.0);
+  int x = m.add_variable(4.0, 10.0, 1.0);
   m.add_row(Sense::kLe, 3.0, {{x, 1.0}});
   EXPECT_EQ(solve(m).status, Status::kInfeasible);
   EXPECT_EQ(solve_exact(m).status, Status::kInfeasible);
@@ -116,8 +116,8 @@ TEST(SimplexEdge, InfeasibleByBoundsAlone) {
 TEST(SimplexEdge, ZeroRhsDegenerateStart) {
   // Many constraints tight at the origin; optimum away from it.
   Model m;
-  int x = m.add_variable("x", 0.0, kInf, -1.0);
-  int y = m.add_variable("y", 0.0, kInf, -1.0);
+  int x = m.add_variable(0.0, kInf, -1.0);
+  int y = m.add_variable(0.0, kInf, -1.0);
   m.add_row(Sense::kGe, 0.0, {{x, 1.0}, {y, -1.0}});
   m.add_row(Sense::kGe, 0.0, {{x, -1.0}, {y, 1.0}});
   m.add_row(Sense::kLe, 10.0, {{x, 1.0}, {y, 1.0}});
@@ -136,7 +136,7 @@ TEST_P(BigRandomLp, DoubleBackendIsFeasibleAndMatchesExact) {
   const int nrows = static_cast<int>(rng.uniform_int(3, 10));
   Model m;
   for (int i = 0; i < nvars; ++i) {
-    m.add_variable("v", 0.0,
+    m.add_variable(0.0,
                    rng.chance(0.4)
                        ? static_cast<double>(rng.uniform_int(0, 6))
                        : kInf,

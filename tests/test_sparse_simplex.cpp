@@ -26,8 +26,8 @@ namespace {
 TEST(SparseSimplex, TrivialAndBounds) {
   // min -x - y with x in [1, 2], y in [0, 3], x + y <= 4.
   Model m;
-  int x = m.add_variable("x", 1.0, 2.0, -1.0);
-  int y = m.add_variable("y", 0.0, 3.0, -1.0);
+  int x = m.add_variable(1.0, 2.0, -1.0);
+  int y = m.add_variable(0.0, 3.0, -1.0);
   m.add_row(Sense::kLe, 4.0, {{x, 1.0}, {y, 1.0}});
   Solution s = solve_sparse(m);
   ASSERT_EQ(s.status, Status::kOptimal);
@@ -37,7 +37,7 @@ TEST(SparseSimplex, TrivialAndBounds) {
 TEST(SparseSimplex, PureBoundFlipOptimum) {
   // Optimum reached by a single bound flip, no pivots.
   Model m;
-  int x = m.add_variable("x", 0.0, 5.0, -1.0);
+  int x = m.add_variable(0.0, 5.0, -1.0);
   m.add_row(Sense::kLe, 100.0, {{x, 1.0}});
   SparseStats stats;
   Solution s = solve_sparse(m, {}, &stats);
@@ -50,20 +50,20 @@ TEST(SparseSimplex, PureBoundFlipOptimum) {
 TEST(SparseSimplex, StatusesMatchDenseBackend) {
   {
     Model m;
-    int x = m.add_variable("x", 0.0, 1.0, 1.0);
+    int x = m.add_variable(0.0, 1.0, 1.0);
     m.add_row(Sense::kGe, 2.0, {{x, 1.0}});
     EXPECT_EQ(solve_sparse(m).status, Status::kInfeasible);
   }
   {
     Model m;
-    int x = m.add_variable("x", 0.0, kInf, -1.0);
+    int x = m.add_variable(0.0, kInf, -1.0);
     m.add_row(Sense::kGe, 0.0, {{x, 1.0}});
     EXPECT_EQ(solve_sparse(m).status, Status::kUnbounded);
   }
   {
     Model m;
-    int x = m.add_variable("x", 0.0, kInf, 1.0);
-    int y = m.add_variable("y", 0.0, kInf, 1.0);
+    int x = m.add_variable(0.0, kInf, 1.0);
+    int y = m.add_variable(0.0, kInf, 1.0);
     m.add_row(Sense::kEq, 4.0, {{x, 1.0}, {y, 2.0}});
     m.add_row(Sense::kEq, 1.0, {{x, 1.0}, {y, -1.0}});
     Solution s = solve_sparse(m);
@@ -76,8 +76,8 @@ TEST(SparseSimplex, StatusesMatchDenseBackend) {
 TEST(SparseSimplex, FixedAndFreeVariables) {
   {
     Model m;
-    int x = m.add_variable("x", 3.0, 3.0, -10.0);  // fixed
-    int y = m.add_variable("y", 0.0, kInf, 1.0);
+    int x = m.add_variable(3.0, 3.0, -10.0);  // fixed
+    int y = m.add_variable(0.0, kInf, 1.0);
     m.add_row(Sense::kGe, 5.0, {{x, 1.0}, {y, 1.0}});
     Solution s = solve_sparse(m);
     ASSERT_EQ(s.status, Status::kOptimal);
@@ -86,7 +86,7 @@ TEST(SparseSimplex, FixedAndFreeVariables) {
   }
   {
     Model m;
-    int x = m.add_variable("x", -kInf, kInf, 1.0);
+    int x = m.add_variable(-kInf, kInf, 1.0);
     m.add_row(Sense::kGe, -7.0, {{x, 1.0}});
     Solution s = solve_sparse(m);
     ASSERT_EQ(s.status, Status::kOptimal);
@@ -98,8 +98,8 @@ TEST(SparseSimplex, RedundantRowsKeepArtificialsPinned) {
   // Duplicated equalities leave a basic artificial on a redundant row;
   // the revised backend pins it at zero instead of deleting the row.
   Model m;
-  int x = m.add_variable("x", 0.0, kInf, 1.0);
-  int y = m.add_variable("y", 0.0, kInf, 2.0);
+  int x = m.add_variable(0.0, kInf, 1.0);
+  int y = m.add_variable(0.0, kInf, 2.0);
   m.add_row(Sense::kEq, 3.0, {{x, 1.0}, {y, 1.0}});
   m.add_row(Sense::kEq, 3.0, {{x, 1.0}, {y, 1.0}});
   m.add_row(Sense::kEq, 6.0, {{x, 2.0}, {y, 2.0}});
@@ -114,10 +114,10 @@ TEST(SparseSimplex, BealeCyclingInstance) {
   // tie-breaks cycles forever without an anti-cycling rule; the Bland
   // fallback must terminate it at the optimum (-0.05).
   Model m;
-  int x1 = m.add_variable("x1", 0.0, kInf, -0.75);
-  int x2 = m.add_variable("x2", 0.0, kInf, 150.0);
-  int x3 = m.add_variable("x3", 0.0, kInf, -0.02);
-  int x4 = m.add_variable("x4", 0.0, kInf, 6.0);
+  int x1 = m.add_variable(0.0, kInf, -0.75);
+  int x2 = m.add_variable(0.0, kInf, 150.0);
+  int x3 = m.add_variable(0.0, kInf, -0.02);
+  int x4 = m.add_variable(0.0, kInf, 6.0);
   m.add_row(Sense::kLe, 0.0,
             {{x1, 0.25}, {x2, -60.0}, {x3, -1.0 / 25.0}, {x4, 9.0}});
   m.add_row(Sense::kLe, 0.0,
@@ -140,7 +140,7 @@ TEST(SparseSimplex, HighlyDegenerateTransportation) {
   util::Rng rng(4242);
   for (int i = 0; i < kN; ++i) {
     for (int j = 0; j < kN; ++j) {
-      v[i][j] = m.add_variable("a", 0.0, 1.0,
+      v[i][j] = m.add_variable(0.0, 1.0,
                                static_cast<double>(rng.uniform_int(1, 9)));
     }
   }
@@ -168,7 +168,7 @@ TEST(SparseSimplex, RefactorizationKeepsLongSolvesAccurate) {
   Model m;
   std::vector<int> x(kLinks);
   for (int i = 0; i < kLinks; ++i) {
-    x[i] = m.add_variable("x", 0.0, 10.0, i % 3 == 0 ? 1.0 : -1.0);
+    x[i] = m.add_variable(0.0, 10.0, i % 3 == 0 ? 1.0 : -1.0);
   }
   for (int i = 0; i + 1 < kLinks; ++i) {
     m.add_row(Sense::kLe, 12.0, {{x[i], 1.0}, {x[i + 1], 1.0}});
@@ -191,8 +191,8 @@ TEST(SparseSimplex, TinyPivotOnFreshFactorizationIsAccepted) {
   // another would meet the same pivot forever. The deadline turns such
   // a spin into a cancellation instead of a hang.
   Model m;
-  const int x1 = m.add_variable("x1", 0.0, kInf, 0.0);
-  const int x2 = m.add_variable("x2", 0.0, 1e12, -1.0);
+  const int x1 = m.add_variable(0.0, kInf, 0.0);
+  const int x2 = m.add_variable(0.0, 1e12, -1.0);
   m.add_row(Sense::kEq, 1.0, {{x1, 1.0}, {x2, 1e-8}});
   util::CancelToken token;
   token.set_timeout_ms(1000);
@@ -230,9 +230,9 @@ TEST(SparseSimplexWarm, RankDeficientHintDropsAColumn) {
   // x and y have parallel columns (y = 2x in every row), so at most one
   // of them can be basic; the import must drop the other.
   Model m;
-  int x = m.add_variable("x", 0.0, 10.0, -1.0);
-  int y = m.add_variable("y", 0.0, 10.0, -1.0);
-  int z = m.add_variable("z", 0.0, 10.0, -2.0);
+  int x = m.add_variable(0.0, 10.0, -1.0);
+  int y = m.add_variable(0.0, 10.0, -1.0);
+  int z = m.add_variable(0.0, 10.0, -2.0);
   m.add_row(Sense::kLe, 8.0, {{x, 1.0}, {y, 2.0}, {z, 1.0}});
   m.add_row(Sense::kLe, 6.0, {{x, 2.0}, {y, 4.0}, {z, -1.0}});
   Basis hint;
@@ -244,9 +244,9 @@ TEST(SparseSimplexWarm, MoreBasicThanRowsDropsTheSurplus) {
   // Three basic hints for two rows: the last column to be placed finds
   // every row assigned.
   Model m;
-  int x = m.add_variable("x", 0.0, 5.0, -1.0);
-  int y = m.add_variable("y", 0.0, 5.0, -3.0);
-  int z = m.add_variable("z", 0.0, 5.0, 1.0);
+  int x = m.add_variable(0.0, 5.0, -1.0);
+  int y = m.add_variable(0.0, 5.0, -3.0);
+  int z = m.add_variable(0.0, 5.0, 1.0);
   m.add_row(Sense::kLe, 6.0, {{x, 1.0}, {y, 1.0}});
   m.add_row(Sense::kGe, 1.0, {{y, 1.0}, {z, 1.0}});
   Basis hint;
@@ -390,7 +390,7 @@ TEST(SparseSimplexGolden, PivotsAndVerticesAreBitIdentical) {
 Model with_rhs_raised(const Model& m, int row, double delta) {
   Model out;
   for (const Variable& v : m.variables()) {
-    out.add_variable(v.name, v.lower, v.upper, v.objective);
+    out.add_variable(v.lower, v.upper, v.objective);
   }
   for (int r = 0; r < m.num_rows(); ++r) {
     const Row& src = m.row(r);
@@ -497,7 +497,7 @@ Model random_lp(util::Rng& rng, bool feasible = false) {
     const double hi =
         rng.chance(0.7) ? lo + static_cast<double>(rng.uniform_int(0, 7))
                         : kInf;
-    m.add_variable("v", lo, hi, static_cast<double>(rng.uniform_int(-4, 4)));
+    m.add_variable(lo, hi, static_cast<double>(rng.uniform_int(-4, 4)));
   }
   std::vector<double> point;
   if (feasible) {
@@ -607,14 +607,14 @@ Model block_diagonal_lp(util::Rng& rng, int* parts_out) {
       const double lo = static_cast<double>(rng.uniform_int(0, 2));
       const double hi = lo + static_cast<double>(rng.uniform_int(0, 5));
       const double cost = static_cast<double>(rng.uniform_int(-4, 4));
-      m.add_variable("loose", lo, hi, cost);
+      m.add_variable(lo, hi, cost);
       continue;
     }
     const Variable& v = parts[p].variable(i);
-    global[p][i] = m.add_variable(v.name, v.lower, v.upper, v.objective);
+    global[p][i] = m.add_variable(v.lower, v.upper, v.objective);
   }
   const double free_cost = static_cast<double>(rng.uniform_int(-2, 2));
-  const int free_var = m.add_variable("free", -kInf, kInf, free_cost);
+  const int free_var = m.add_variable(-kInf, kInf, free_cost);
 
   // (part, row); part -1 is the empty row, part -2 ties the free
   // variable to part 0's first variable.
@@ -699,14 +699,14 @@ TEST(BlockSplit, StatusPrecedenceMatchesDense) {
   // that decides the status.
   auto with_unbounded_block = [] {
     Model m;
-    const int y = m.add_variable("y", 0.0, kInf, -1.0);
+    const int y = m.add_variable(0.0, kInf, -1.0);
     m.add_row(Sense::kGe, 0.0, {{y, 1.0}});
     return m;
   };
   {
     // Unbounded, then infeasible: a whole-model phase 1 stops first.
     Model m = with_unbounded_block();
-    const int x = m.add_variable("x", 0.0, 1.0, 1.0);
+    const int x = m.add_variable(0.0, 1.0, 1.0);
     m.add_row(Sense::kGe, 2.0, {{x, 1.0}});
     EXPECT_EQ(solve(m).status, Status::kInfeasible);
     const Solution s = solve_with(BackendKind::kSparse, m);
@@ -716,9 +716,9 @@ TEST(BlockSplit, StatusPrecedenceMatchesDense) {
   {
     // Infeasible, then unbounded: the merge stops at the first block.
     Model m;
-    const int x = m.add_variable("x", 0.0, 1.0, 1.0);
+    const int x = m.add_variable(0.0, 1.0, 1.0);
     m.add_row(Sense::kGe, 2.0, {{x, 1.0}});
-    const int y = m.add_variable("y", 0.0, kInf, -1.0);
+    const int y = m.add_variable(0.0, kInf, -1.0);
     m.add_row(Sense::kGe, 0.0, {{y, 1.0}});
     EXPECT_EQ(solve(m).status, Status::kInfeasible);
     const std::int64_t solves0 = sparse_solves();
@@ -728,7 +728,7 @@ TEST(BlockSplit, StatusPrecedenceMatchesDense) {
   {
     // Unbounded, then optimal.
     Model m = with_unbounded_block();
-    const int x = m.add_variable("x", 0.0, 3.0, -1.0);
+    const int x = m.add_variable(0.0, 3.0, -1.0);
     m.add_row(Sense::kLe, 2.0, {{x, 1.0}});
     EXPECT_EQ(solve(m).status, Status::kUnbounded);
     const Solution s = solve_with(BackendKind::kSparse, m);
@@ -738,7 +738,7 @@ TEST(BlockSplit, StatusPrecedenceMatchesDense) {
   {
     // An optimal block plus the empty row 0 >= 1.
     Model m;
-    const int x = m.add_variable("x", 0.0, 3.0, -1.0);
+    const int x = m.add_variable(0.0, 3.0, -1.0);
     m.add_row(Sense::kLe, 2.0, {{x, 1.0}});
     m.add_row(Sense::kGe, 1.0, {});
     EXPECT_EQ(solve(m).status, Status::kInfeasible);
@@ -821,8 +821,8 @@ TEST(LpBackend, ParseAndNames) {
 
 TEST(LpBackend, AllKindsAgreeOnAModel) {
   Model m;
-  int x = m.add_variable("x", 0.0, 4.0, -1.0);
-  int y = m.add_variable("y", 0.0, kInf, -2.0);
+  int x = m.add_variable(0.0, 4.0, -1.0);
+  int y = m.add_variable(0.0, kInf, -2.0);
   m.add_row(Sense::kLe, 6.0, {{x, 1.0}, {y, 1.0}});
   m.add_row(Sense::kLe, 10.0, {{x, 1.0}, {y, 2.0}});
   const double expected = -10.0;  // x=2, y=4
@@ -839,13 +839,13 @@ TEST(LpBackend, AllKindsAgreeOnAModel) {
 TEST(LpBackend, CheckModeCoversInfeasibleAndUnbounded) {
   {
     Model m;
-    int x = m.add_variable("x", 0.0, 1.0, 1.0);
+    int x = m.add_variable(0.0, 1.0, 1.0);
     m.add_row(Sense::kGe, 2.0, {{x, 1.0}});
     EXPECT_EQ(solve_with(BackendKind::kCheck, m).status, Status::kInfeasible);
   }
   {
     Model m;
-    int x = m.add_variable("x", 0.0, kInf, -1.0);
+    int x = m.add_variable(0.0, kInf, -1.0);
     m.add_row(Sense::kGe, 0.0, {{x, 1.0}});
     EXPECT_EQ(solve_with(BackendKind::kCheck, m).status, Status::kUnbounded);
   }
