@@ -242,8 +242,15 @@ class Parser {
   Json parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      ++depth_;
+      NAT_CHECK_MSG(depth_ <= Json::kMaxDepth,
+                    "json: nesting deeper than " << Json::kMaxDepth
+                                                 << " at offset " << pos_);
+      Json out = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return out;
+    }
     if (c == '"') return Json(parse_string());
     if (consume_literal("null")) return Json();
     if (consume_literal("true")) return Json(true);
@@ -373,6 +380,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open at pos_
 };
 
 }  // namespace

@@ -82,8 +82,10 @@ class Json {
   std::string dump(int indent = -1) const;
 
   /// Strict parse of a complete JSON document. Throws util::CheckError
-  /// on malformed input or trailing garbage.
+  /// on malformed input, trailing garbage, or arrays and objects nested
+  /// deeper than kMaxDepth (the parser recurses once per level).
   static Json parse(std::string_view text);
+  static constexpr int kMaxDepth = 256;
 
  private:
   Type type_ = Type::kNull;

@@ -262,6 +262,34 @@ TEST(Daemon, ServeStreamsRecordsAndDrains) {
   EXPECT_EQ(count, 2);
 }
 
+// The JSON parser recurses once per nesting level; a hostile line of
+// 300,000 '[' used to overflow the stack and take every tenant's
+// sessions down with the process.
+TEST(Daemon, DeeplyNestedLineIsAParseErrorAndServingContinues) {
+  DaemonOptions options;
+  options.threads = 2;
+  Daemon daemon(options);
+  std::istringstream in(std::string(300000, '[') + "\n" +
+                        R"({"op":"solve","id":"after",)" + kQuickJobs +
+                        "}\n");
+  std::ostringstream out;
+  EXPECT_EQ(daemon.serve(in, out), 0);
+  std::istringstream records(out.str());
+  std::vector<obs::Json> parsed;
+  for (std::string line; std::getline(records, line);) {
+    parsed.push_back(obs::Json::parse(line));
+  }
+  ASSERT_EQ(parsed.size(), 2u);
+  for (const obs::Json& j : parsed) {
+    if (j.find("index")->as_int() == 0) {
+      EXPECT_EQ(field(j, "failure_class"), "input:parse");
+    } else {
+      EXPECT_EQ(field(j, "id"), "after");
+      EXPECT_EQ(field(j, "status"), "solved");
+    }
+  }
+}
+
 TEST(Daemon, AdmissionRejectsOverQueueDepthCap) {
   Collector out;
   DaemonOptions options;

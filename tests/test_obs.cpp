@@ -239,6 +239,27 @@ TEST(Json, ParseRejectsMalformed) {
   EXPECT_THROW(obs::Json::parse("nulL"), util::CheckError);
 }
 
+// The parser recurses once per level, so depth is capped: a line of
+// 100,000 '[' used to overflow the stack instead of throwing.
+TEST(Json, ParseCapsNestingDepth) {
+  const auto nested = [](int depth) {
+    std::string text;
+    for (int d = 0; d < depth; ++d) text += d % 2 == 0 ? "[" : "{\"k\":";
+    text += "0";
+    for (int d = depth; d-- > 0;) text += d % 2 == 0 ? "]" : "}";
+    return text;
+  };
+  const int cap = obs::Json::kMaxDepth;
+  const obs::Json deepest = obs::Json::parse(nested(cap));
+  int depth = 0;
+  for (const obs::Json* cur = &deepest; !cur->is_number(); ++depth) {
+    cur = cur->is_array() ? &cur->at(0) : cur->find("k");
+  }
+  EXPECT_EQ(depth, cap);
+  EXPECT_THROW(obs::Json::parse(nested(cap + 1)), util::CheckError);
+  EXPECT_THROW(obs::Json::parse(std::string(100000, '[')), util::CheckError);
+}
+
 /// Resolves "a/b" paths against the report; counters' own names
 /// contain dots, so '/' separates levels.
 const obs::Json* resolve(const obs::Json& root, const std::string& path) {
