@@ -190,13 +190,16 @@ RegionNetwork build_region_network(const LaminarForest& forest,
   net.graph = flow::MaxFlowGraph(n + m + 2);
   net.s = n + m;
   net.t = n + m + 1;
+  std::int64_t volume = 0;
   for (int j = 0; j < n; ++j) {
     net.graph.add_edge(net.s, j, forest.jobs()[j].processing);
+    volume += forest.jobs()[j].processing;
   }
   for (int i = 0; i < m; ++i) {
     NAT_CHECK(open[i] >= 0 && open[i] <= forest.node(i).length());
     if (open[i] > 0) {
-      net.graph.add_edge(n + i, net.t, forest.g() * open[i]);
+      net.graph.add_edge(n + i, net.t,
+                         region_capacity(forest.g(), open[i], volume));
     }
   }
   for (int j = 0; j < n; ++j) {

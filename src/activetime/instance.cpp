@@ -51,6 +51,14 @@ void Instance::validate() const {
                            << job.processing_hi);
     }
   }
+  // Every solver sums the volume (flow values, LP right-hand sides).
+  std::int64_t volume = 0;
+  for (const Job& job : jobs) {
+    NAT_CHECK_MSG(!__builtin_add_overflow(
+                      volume, std::max(job.processing, job.processing_hi),
+                      &volume),
+                  "instance: total processing volume overflows int64");
+  }
 }
 
 bool Instance::has_processing_intervals() const {

@@ -45,7 +45,7 @@ bool opt_le_2(const LaminarForest& forest, int node) {
       volume += p;
     }
   }
-  if (volume > 2 * forest.g()) return false;
+  if (volume - forest.g() > forest.g()) return false;  // 2g may overflow
 
   const std::vector<int> des = forest.subtree(node);
   // One subtree-scoped oracle serves every candidate pair: consecutive

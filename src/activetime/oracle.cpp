@@ -1,5 +1,6 @@
 #include "activetime/oracle.hpp"
 
+#include "activetime/feasibility.hpp"
 #include "obs/counters.hpp"
 #include "util/check.hpp"
 
@@ -63,8 +64,8 @@ std::int64_t FeasibilityOracle::apply_region(int i, Time value) {
     NAT_CHECK_MSG(value == 0, "region " << i << " has no open slots");
     return 0;
   }
-  std::int64_t cancelled =
-      graph_.set_capacity(sink_edge_[i], forest_.g() * value);
+  std::int64_t cancelled = graph_.set_capacity(
+      sink_edge_[i], region_capacity(forest_.g(), value, volume_));
   for (const auto& [jn, e] : region_arcs_[i]) {
     cancelled += graph_.set_capacity(e, value);
   }
