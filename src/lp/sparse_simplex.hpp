@@ -18,18 +18,26 @@
 //   ratio test + update   O(nonzeros of the FTRAN'd column)
 // instead of the dense tableau's O(rows · cols) elimination, plus one
 //   re-inversion          O(nnz(B) + fill)
-// per refactorization (formerly Θ(rows²)). Pricing is incremental: a
-// row-wise index of the matrix finds the columns that meet a row whose
-// dual changed bits since the last iteration, and only those reduced
-// costs are recomputed, with the expression a full scan uses, so every
-// pivot is the one a full scan would pick. Re-inversion is hypersparse:
+// per refactorization (formerly Θ(rows²)). Re-inversion peels the row
+// singletons first: while some unassigned row meets exactly one unplaced
+// basis column, that column pivots on that row, and its eta is the
+// column itself, without fill. Only the rest (the bump) goes in
+// sparsest-first with partial pivoting. A re-inversion is due after 100
+// pivots or once the updates outgrow 8·rows + 512 nonzeros on top of the
+// fresh factor, so a large factor does not use up the updates' budget.
+// Pricing is incremental: a row-wise index of the matrix finds the
+// columns that meet a row whose dual changed bits since the last
+// iteration, and only those reduced costs are recomputed, with the
+// expression a full scan uses, so every pivot is the one a full scan
+// would pick. Re-inversion is hypersparse:
 // each basis column is scattered into a zeroed work vector and only the
 // etas whose pivot row it touches are applied. The eta file stays
 // bit-identical to a dense FTRAN + scan because the etas run in file
 // order, an eta with an exactly-zero pivot entry is skipped, pivot ties
-// go to the lowest row, and each eta stores its entries in ascending
-// row order (BTRAN's summation order) — so pivots and vertices do not
-// depend on how the factorization is computed (docs/PERFORMANCE.md).
+// go to the lowest row (a row-singleton column pivots on its singleton
+// row), and each eta stores its entries in ascending row order (BTRAN's
+// summation order) — so the column order, not the placement mechanics,
+// defines the pivots and vertices (docs/PERFORMANCE.md).
 //
 // Bounded variables (Dantzig's upper-bounding technique): nonbasic
 // variables sit at either bound, the ratio test can end in a bound flip
@@ -74,6 +82,8 @@ struct SparseStats {
   std::int64_t degenerate = 0;
   std::int64_t refactorizations = 0;
   std::int64_t eta_nonzeros = 0;  // eta-file size at termination
+  // Largest eta file right after a re-inversion (0: none ran).
+  std::int64_t factor_nonzeros = 0;
   std::int64_t priced = 0;        // reduced costs computed by pricing
   // Warm-start ladder (solve_sparse_warm; all zero on cold solves).
   std::int64_t warm_hit = 0;       // imported basis was still optimal
