@@ -27,24 +27,26 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-std::uint64_t group_key(std::int64_t g, const std::vector<Job>& jobs) {
-  std::uint64_t h = mix(0x243F6A8885A308D3ull, static_cast<std::uint64_t>(g));
-  for (const Job& j : jobs) {
-    h = mix(h, static_cast<std::uint64_t>(j.release));
-    h = mix(h, static_cast<std::uint64_t>(j.deadline));
-    h = mix(h, static_cast<std::uint64_t>(j.processing));
-    h = mix(h, static_cast<std::uint64_t>(j.processing_lo));
-    h = mix(h, static_cast<std::uint64_t>(j.processing_hi));
-  }
-  return h;
-}
-
-/// Folds one field into a variable key. The field is spread by a
-/// splitmix64 step first: `mix` alone folds small integers with
-/// structured collisions (the intervals [1, 15) and [0, 80) would meet).
+/// Folds one field into a key. The field is spread by a splitmix64
+/// step first: `mix` alone folds small integers with structured
+/// collisions (the intervals [1, 15) and [0, 80) would meet).
 std::uint64_t fold(std::uint64_t h, std::int64_t field) {
   auto state = static_cast<std::uint64_t>(field);
   return mix(h, util::splitmix64(state));
+}
+
+/// Cache key of a root window group. Two live groups with one key
+/// would evict each other from the cache, so every field is folded.
+std::uint64_t group_key(std::int64_t g, const std::vector<Job>& jobs) {
+  std::uint64_t h = fold(0x243F6A8885A308D3ull, g);
+  for (const Job& j : jobs) {
+    h = fold(h, j.release);
+    h = fold(h, j.deadline);
+    h = fold(h, j.processing);
+    h = fold(h, j.processing_lo);
+    h = fold(h, j.processing_hi);
+  }
+  return h;
 }
 
 /// Content key per LP variable, stable across models of overlapping

@@ -421,6 +421,26 @@ TEST(Session, FailedDeltaKeepsTheCache) {
   expect_matches_scratch(session);
 }
 
+// Two clean root groups whose cache keys collide would evict each other
+// on every delta: with fields folded by the plain `mix`, the groups of
+// [3, 4) and [4, 42) (each one unit job, g = 3) used to share a key, so
+// each edit of the third group re-solved two groups.
+TEST(Session, CleanGroupsStayCachedAcrossDeltas) {
+  Instance instance;
+  instance.g = 3;
+  instance.jobs = {Job{3, 4, 1}, Job{4, 42, 1}, Job{50, 60, 2}};
+  SolverSession session(instance);
+  session.solve();
+  ASSERT_EQ(window_groups(session.instance()).size(), 3u);
+  for (int step = 0; step < 3; ++step) {
+    const SessionStats before = session.stats();
+    session.apply(AddJob{Job{50, 60, 1}});
+    EXPECT_EQ(session.stats().groups_resolved, before.groups_resolved + 1);
+    EXPECT_EQ(session.stats().groups_reused, before.groups_reused + 2);
+  }
+  expect_matches_scratch(session);
+}
+
 TEST(Session, RetimeDeltaWidensNarrowsAndClears) {
   SolverSession session(testing::small_nested());
   const SessionResult before = session.solve();
