@@ -131,7 +131,7 @@ bool Instance::is_laminar() const {
 }
 
 std::int64_t Instance::volume_lower_bound() const {
-  return (total_volume() + g - 1) / g;
+  return ceil_div(total_volume(), g);
 }
 
 std::string summary(const Instance& instance) {

@@ -46,6 +46,12 @@ struct Instance {
   std::int64_t volume_lower_bound() const;
 };
 
+/// ceil(v / g) for v >= 0 and g >= 1. Unlike (v + g - 1) / g it cannot
+/// overflow, even for g near INT64_MAX.
+inline std::int64_t ceil_div(std::int64_t v, std::int64_t g) {
+  return v / g + (v % g != 0);
+}
+
 /// Returns a human-readable one-line summary ("n=5 g=2 horizon=[0,10)").
 std::string summary(const Instance& instance);
 

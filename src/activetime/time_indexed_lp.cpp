@@ -95,7 +95,7 @@ TimeIndexedLp build_time_indexed_lp(const Instance& instance,
       std::int64_t forced = 0;
       for (const Job& job : instance.jobs) forced += forced_volume(job, iv);
       if (forced == 0) continue;
-      const std::int64_t rhs = (forced + instance.g - 1) / instance.g;
+      const std::int64_t rhs = ceil_div(forced, instance.g);
       std::vector<std::pair<int, double>> row;
       for (int k = 0; k < static_cast<int>(out.slots.size()); ++k) {
         if (iv.contains(out.slots[k])) row.push_back({out.x_var[k], 1.0});

@@ -43,7 +43,7 @@ class RegionSearch {
           longest = std::max(longest, forest.jobs()[j].processing);
         }
       }
-      sub_lb_[i] = std::max((volume + forest.g() - 1) / forest.g(), longest);
+      sub_lb_[i] = std::max(ceil_div(volume, forest.g()), longest);
     }
   }
 
@@ -169,8 +169,7 @@ std::int64_t exact_opt_common_window(const Instance& instance) {
     volume += job.processing;
     longest = std::max(longest, job.processing);
   }
-  const std::int64_t opt =
-      std::max((volume + instance.g - 1) / instance.g, longest);
+  const std::int64_t opt = std::max(ceil_div(volume, instance.g), longest);
   NAT_CHECK_MSG(opt <= window.length(), "instance is infeasible");
   return opt;
 }

@@ -32,8 +32,7 @@ ExactUnitResult exact_opt_unit_laminar(const Instance& instance) {
     opened_below[i] = open[i];
     for (int c : forest.node(i).children) opened_below[i] += opened_below[c];
 
-    const Time need =
-        (jobs_below[i] + forest.g() - 1) / forest.g();  // ceil(n_i / g)
+    const Time need = ceil_div(jobs_below[i], forest.g());
     NAT_CHECK_MSG(need <= forest.node(i).interval.length(),
                   "infeasible unit instance at node " << i << ": "
                       << jobs_below[i] << " jobs need " << need

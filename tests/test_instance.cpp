@@ -60,6 +60,8 @@ TEST(Instance, HorizonAndVolume) {
   EXPECT_EQ(i.horizon(), (Interval{0, 10}));
   EXPECT_EQ(i.total_volume(), 9);
   EXPECT_EQ(i.volume_lower_bound(), 5);  // ceil(9/2)
+  i.g = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(i.volume_lower_bound(), 1);  // volume + g - 1 would overflow
   EXPECT_TRUE(Instance{}.horizon().empty());
 }
 

@@ -308,11 +308,13 @@ TEST(Service, OverflowingWindowsAreInputValidate) {
 
 // A huge g used to overflow g·open in the Lemma 4.1 network (a
 // "negative capacity" check failure in the flow solver on the auto,
-// nested and exact solvers). Every solver now gives the same count.
+// nested and exact solvers), and g = INT64_MAX overflowed the exact
+// solver's ceiling division. Every solver now gives the same count.
 TEST(Service, HugeCapacitySolvesOnEverySolver) {
   const std::pair<const char*, std::int64_t> cases[] = {
       {R"({"g": 4611686018427387904, "jobs": [[0, 4, 1]]})", 1},
       {R"({"g": 4611686018427387904, "jobs": [[0, 4, 1], [5, 9, 2]]})", 3},
+      {R"({"g": 9223372036854775807, "jobs": [[0, 4, 1], [5, 9, 2]]})", 3},
   };
   for (const auto& [payload, slots] : cases) {
     for (const std::string solver :
